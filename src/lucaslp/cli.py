@@ -641,3 +641,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

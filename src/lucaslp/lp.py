@@ -8,6 +8,14 @@ p**digit_bound and reports the smallest violation. Closed-form criteria
 and cross-validation compares both routes cell by cell instead of trusting
 either one.
 
+Every affine subsequence S(n) = A(a*n + b) of a second-order recurrence is
+one `AffineSequence`; a family table maps "fib", "lucas" and "general" to
+their recurrence and criterion, and a single in-process sweep drives the
+crossval entry points and the valid-offset enumeration. A(n) mod p is
+ultimately periodic, so for b past the preperiod the residues of S depend
+only on (a mod period, b folded into the period): the sweep scans each such
+residue class once and reuses the verdict for every cell in it.
+
 A sequence that vanishes identically mod p satisfies the congruence
 vacuously. Those cells say nothing about the criteria, so sweeps flag them
 and keep them out of both the disagreement count and the valid-b sets.
@@ -15,11 +23,10 @@ and keep them out of both the disagreement count and the valid-b sets.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from typing import Callable, NamedTuple
 
 from .modmath import Prime, digits_base_p, is_prime
 from .sequences import (
@@ -42,9 +49,7 @@ __all__ = [
     "NotFoundWithinBoundError",
     "AffineIndexMap",
     "SequenceSpec",
-    "FibAffine",
-    "LucasAffine",
-    "GeneralAffine",
+    "AffineSequence",
     "PowerSequence",
     "AperySequence",
     "OmegaSequence",
@@ -71,7 +76,6 @@ __all__ = [
     "crossval_theorem2",
     "crossval_theorem3",
     "THEOREM3_DEFAULT_RECS",
-    "resolve_workers",
 ]
 
 AS_PROVED = "as-proved"
@@ -127,69 +131,46 @@ def _cached_term_table(rec: LinearRecurrence, p: int):
     return info, tuple(terms)
 
 
+def _fold(info: PeriodInfo, idx: int) -> int:
+    """Position in the term table of A(idx) mod p.
+
+    Indices past the preperiod wrap with the period, which is what makes
+    the table cover every index.
+    """
+    pre, per = info
+    return idx if idx < pre + per else pre + (idx - pre) % per
+
+
 def _affine_residues(rec: LinearRecurrence, index_map: AffineIndexMap, p: int, count: int):
     info, terms = _cached_term_table(rec, p)
-    pre, per = info
-    top = pre + per
     idx = index_map.b
     for _ in range(count):
-        if idx < top:
-            yield terms[idx]
-        else:
-            yield terms[pre + (idx - pre) % per]
+        yield terms[_fold(info, idx)]
         idx += index_map.a
 
 
 @dataclass(frozen=True)
-class FibAffine(SequenceSpec):
-    """S(n) = F(a*n + b)."""
+class AffineSequence(SequenceSpec):
+    """S(n) = A(a*n + b) for a second-order recurrence A.
 
-    index_map: AffineIndexMap
-    variant = "fib-affine"
-
-    rec = FIBONACCI
-
-    def iter_residues(self, p, count):
-        return _affine_residues(self.rec, self.index_map, int(Prime(p)), count)
-
-    def describe(self):
-        return {"variant": self.variant, "a": self.index_map.a, "b": self.index_map.b}
-
-
-@dataclass(frozen=True)
-class LucasAffine(SequenceSpec):
-    """S(n) = L(a*n + b)."""
-
-    index_map: AffineIndexMap
-    variant = "lucas-affine"
-
-    rec = LUCAS_NUMBERS
-
-    def iter_residues(self, p, count):
-        return _affine_residues(self.rec, self.index_map, int(Prime(p)), count)
-
-    def describe(self):
-        return {"variant": self.variant, "a": self.index_map.a, "b": self.index_map.b}
-
-
-@dataclass(frozen=True)
-class GeneralAffine(SequenceSpec):
-    """S(n) = A(a*n + b) for a caller-supplied recurrence."""
+    `variant` names the family the spec was built as (fib-affine,
+    lucas-affine or general-affine); only general-affine describes its
+    recurrence, since the other two fix it.
+    """
 
     rec: LinearRecurrence
     index_map: AffineIndexMap
-    variant = "general-affine"
+    variant: str
 
     def iter_residues(self, p, count):
         return _affine_residues(self.rec, self.index_map, int(Prime(p)), count)
 
     def describe(self):
-        return {
-            "variant": self.variant,
-            "rec": self.rec.as_string(),
-            "a": self.index_map.a,
-            "b": self.index_map.b,
-        }
+        d = {"variant": self.variant}
+        if self.variant == "general-affine":
+            d["rec"] = self.rec.as_string()
+        d.update(a=self.index_map.a, b=self.index_map.b)
+        return d
 
 
 @dataclass(frozen=True)
@@ -265,16 +246,16 @@ class TableSequence(SequenceSpec):
         return {"variant": self.variant, "length": len(self.values)}
 
 
-def fib_affine(a: int, b: int) -> FibAffine:
-    return FibAffine(AffineIndexMap(a, b))
+def fib_affine(a: int, b: int) -> AffineSequence:
+    return AffineSequence(FIBONACCI, AffineIndexMap(a, b), "fib-affine")
 
 
-def lucas_affine(a: int, b: int) -> LucasAffine:
-    return LucasAffine(AffineIndexMap(a, b))
+def lucas_affine(a: int, b: int) -> AffineSequence:
+    return AffineSequence(LUCAS_NUMBERS, AffineIndexMap(a, b), "lucas-affine")
 
 
-def general_affine(rec: LinearRecurrence, a: int, b: int) -> GeneralAffine:
-    return GeneralAffine(rec, AffineIndexMap(a, b))
+def general_affine(rec: LinearRecurrence, a: int, b: int) -> AffineSequence:
+    return AffineSequence(rec, AffineIndexMap(a, b), "general-affine")
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +395,12 @@ def theorem1_condition(index_map: AffineIndexMap, p) -> bool:
     return fib_mod(index_map.a, p) == 0 and fib_mod(index_map.b, p) == 1
 
 
+def _check_reading(reading: str) -> str:
+    if reading not in (AS_PROVED, AS_STATED):
+        raise ValueError(f"reading must be {AS_PROVED!r} or {AS_STATED!r}, got {reading!r}")
+    return reading
+
+
 def theorem2_condition(index_map: AffineIndexMap, p, reading: str = AS_PROVED) -> bool:
     """Criterion for S(n) = L(a*n + b): 5F(a) = 0 mod p plus a seed clause.
 
@@ -423,8 +410,7 @@ def theorem2_condition(index_map: AffineIndexMap, p, reading: str = AS_PROVED) -
     as-proved is the default.
     """
     p = Prime(p)
-    if reading not in (AS_PROVED, AS_STATED):
-        raise ValueError(f"reading must be {AS_PROVED!r} or {AS_STATED!r}, got {reading!r}")
+    _check_reading(reading)
     if 5 * fib_mod(index_map.a, p) % int(p) != 0:
         return False
     if reading == AS_PROVED:
@@ -446,14 +432,35 @@ def theorem3_condition(rec: LinearRecurrence, index_map: AffineIndexMap, p) -> b
 
 def _affine_term(rec: LinearRecurrence, idx: int, p: int) -> int:
     info, terms = _cached_term_table(rec, p)
-    pre, per = info
-    if idx < pre + per:
-        return terms[idx]
-    return terms[pre + (idx - pre) % per]
+    return terms[_fold(info, idx)]
 
 
 # ---------------------------------------------------------------------------
-# enumeration of valid offsets
+# the affine families and enumeration of valid offsets
+
+
+class _Family(NamedTuple):
+    theorem: int
+    rec: LinearRecurrence | None  # None: the caller supplies the recurrence
+    variant: str
+    criterion: Callable[[LinearRecurrence, AffineIndexMap, Prime, str | None], bool]
+
+
+# The criteria are looked up by module-level name at call time, so rebinding
+# one of these functions on the module (as perfbench/tracer.py does) reaches
+# the sweep.
+_FAMILIES = {
+    "fib": _Family(
+        1, FIBONACCI, "fib-affine", lambda rec, m, p, reading: theorem1_condition(m, p)
+    ),
+    "lucas": _Family(
+        2, LUCAS_NUMBERS, "lucas-affine",
+        lambda rec, m, p, reading: theorem2_condition(m, p, reading),
+    ),
+    "general": _Family(
+        3, None, "general-affine", lambda rec, m, p, reading: theorem3_condition(rec, m, p)
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -476,18 +483,6 @@ class BEnumeration:
         return self.valid_b == self.predicted_b
 
 
-def _family_tools(family: str, rec: LinearRecurrence | None):
-    if family == "fib":
-        return FIBONACCI, (lambda r, m, p: theorem1_condition(m, p))
-    if family == "lucas":
-        return LUCAS_NUMBERS, (lambda r, m, p: theorem2_condition(m, p))
-    if family == "general":
-        if rec is None:
-            raise ValueError("family 'general' needs an explicit recurrence")
-        return rec, theorem3_condition
-    raise ValueError(f"family must be 'fib', 'lucas' or 'general', got {family!r}")
-
-
 def enumerate_valid_b(
     family: str,
     a: int,
@@ -505,22 +500,16 @@ def enumerate_valid_b(
     accepts, for side-by-side comparison.
     """
     p = Prime(p)
-    base_rec, condition = _family_tools(family, rec)
-    if a < 1:
-        raise ValueError(f"stride a must be >= 1, got {a}")
+    if family not in _FAMILIES:
+        raise ValueError(f"family must be 'fib', 'lucas' or 'general', got {family!r}")
+    base_rec = _FAMILIES[family].rec or rec
+    if base_rec is None:
+        raise ValueError("family 'general' needs an explicit recurrence")
     info, _ = _cached_term_table(base_rec, int(p))
-    valid, zero, predicted = [], [], []
-    for b in range(info.preperiod + info.period):
-        index_map = AffineIndexMap(a, b)
-        spec = GeneralAffine(base_rec, index_map)
-        verdict = lp_bruteforce(spec, p, digit_bound)
-        if verdict.holds:
-            if sequence_is_zero_mod(spec, p, digit_bound):
-                zero.append(b)
-            else:
-                valid.append(b)
-        if condition(base_rec, index_map, p):
-            predicted.append(b)
+    cells = _sweep(
+        family, (base_rec,), (p,), (a,), range(info.preperiod + info.period), digit_bound,
+        AS_PROVED,
+    ).cells
     return BEnumeration(
         family=family,
         a=a,
@@ -528,9 +517,9 @@ def enumerate_valid_b(
         digit_bound=digit_bound,
         preperiod=info.preperiod,
         modulus=info.period,
-        valid_b=tuple(valid),
-        predicted_b=tuple(predicted),
-        identically_zero_b=tuple(zero),
+        valid_b=tuple(c.b for c in cells if c.oracle_holds and not c.identically_zero),
+        predicted_b=tuple(c.b for c in cells if c.predicted),
+        identically_zero_b=tuple(c.b for c in cells if c.identically_zero),
         rec=base_rec if family == "general" else None,
     )
 
@@ -551,16 +540,13 @@ def corollary1_counterexample(
     """
     if index_map.b < 1:
         raise ValueError(f"offset b must be >= 1 here, got {index_map.b}")
-    if family == "fib":
-        make = fib_affine
-    elif family == "lucas":
-        make = lucas_affine
-    else:
+    if family not in ("fib", "lucas"):
         raise ValueError(f"family must be 'fib' or 'lucas', got {family!r}")
+    spec = AffineSequence(_FAMILIES[family].rec, index_map, _FAMILIES[family].variant)
     for q in range(2, prime_bound + 1):
         if not is_prime(q):
             continue
-        verdict = lp_bruteforce(make(index_map.a, index_map.b), q, digit_bound)
+        verdict = lp_bruteforce(spec, q, digit_bound)
         if not verdict.holds:
             return Prime(q), verdict
     raise NotFoundWithinBoundError(
@@ -617,96 +603,75 @@ THEOREM3_DEFAULT_RECS = (
 )
 
 
-def resolve_workers(tasks: int) -> int:
-    """Worker count from LUCASLP_THREADS; 0 or unset means one per CPU."""
-    raw = os.environ.get("LUCASLP_THREADS", "").strip()
-    if raw == "":
-        n = os.cpu_count() or 1
-    else:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"LUCASLP_THREADS must be a nonnegative integer, got {raw!r}"
-            ) from None
-        if n < 0:
-            raise ValueError(f"LUCASLP_THREADS must be >= 0, got {n}")
-        if n == 0:
-            n = os.cpu_count() or 1
-    return max(1, min(n, tasks))
+def _residue_class(info: PeriodInfo, a: int, b: int) -> tuple[int, int]:
+    """Key shared by every (a, b) whose S(n) = A(a*n + b) has the same residues.
+
+    Once b is past the preperiod so is every index a*n + b, and those fold
+    with the period; before it, the indices are taken literally.
+    """
+    if b < info.preperiod:
+        return a, b
+    return a % info.period, _fold(info, b)
 
 
-def _sweep_cells(task) -> list[GridCell]:
-    theorem, rec, p, a_values, b_values, digit_bound, reading = task
-    p = Prime(p)
+def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
+    """Criterion and oracle over every (rec, prime, a, b), in that nesting order.
+
+    Cells in one residue class share a single oracle scan. A holding scan
+    whose first p terms are 0 mod p is 0 at every index it scanned, because
+    it checked S(n) = S(n // p) * S(n % p) for all of them; so the
+    identically-zero flag costs p terms rather than a second full scan.
+    """
+    fam = _FAMILIES[family]
+    primes = [Prime(p) for p in primes]
+    a_values, b_values = tuple(a_values), tuple(b_values)
+    scans = {}
     cells = []
-    for a in a_values:
-        for b in b_values:
-            index_map = AffineIndexMap(a, b)
-            if theorem == 1:
-                spec = FibAffine(index_map)
-                predicted = theorem1_condition(index_map, p)
-            elif theorem == 2:
-                spec = LucasAffine(index_map)
-                predicted = theorem2_condition(index_map, p, reading)
-            else:
-                spec = GeneralAffine(rec, index_map)
-                predicted = theorem3_condition(rec, index_map, p)
-            verdict = lp_bruteforce(spec, p, digit_bound)
-            zero = verdict.holds and sequence_is_zero_mod(spec, p, digit_bound)
-            cells.append(
-                GridCell(
-                    prime=int(p),
-                    a=a,
-                    b=b,
-                    predicted=predicted,
-                    oracle_holds=verdict.holds,
-                    identically_zero=zero,
-                    rec=rec,
-                    counterexample=verdict.counterexample,
-                )
-            )
-    return cells
-
-
-def _run_tasks(tasks: list) -> list[list[GridCell]]:
-    workers = resolve_workers(len(tasks))
-    if workers <= 1 or len(tasks) <= 1:
-        return [_sweep_cells(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # pool.map preserves task order, keeping reports deterministic
-        return list(pool.map(_sweep_cells, tasks))
+    for rec in recs:
+        for p in primes:
+            info, _ = _cached_term_table(rec, int(p))
+            for a in a_values:
+                for b in b_values:
+                    index_map = AffineIndexMap(a, b)
+                    key = (rec, p, _residue_class(info, a, b))
+                    if key not in scans:
+                        spec = AffineSequence(rec, index_map, fam.variant)
+                        verdict = lp_bruteforce(spec, p, digit_bound)
+                        scans[key] = verdict, verdict.holds and sequence_is_zero_mod(spec, p, 1)
+                    verdict, zero = scans[key]
+                    cells.append(
+                        GridCell(
+                            prime=int(p),
+                            a=a,
+                            b=b,
+                            predicted=fam.criterion(rec, index_map, p, reading),
+                            oracle_holds=verdict.holds,
+                            identically_zero=zero,
+                            # only the general family names its recurrence per cell
+                            rec=rec if fam.rec is None else None,
+                            counterexample=verdict.counterexample,
+                        )
+                    )
+    return AgreementReport(fam.theorem, reading, digit_bound, tuple(cells))
 
 
 def crossval_theorem1(primes, a_values, b_values, digit_bound: int = 3) -> AgreementReport:
     """Sweep the Fibonacci affine criterion against the oracle."""
-    a_values, b_values = tuple(a_values), tuple(b_values)
-    tasks = [(1, None, int(Prime(p)), a_values, b_values, digit_bound, None) for p in primes]
-    chunks = _run_tasks(tasks)
-    return AgreementReport(1, None, digit_bound, tuple(c for chunk in chunks for c in chunk))
+    return _sweep("fib", (FIBONACCI,), primes, a_values, b_values, digit_bound)
 
 
 def crossval_theorem2(
     primes, a_values, b_values, reading: str = AS_PROVED, digit_bound: int = 3
 ) -> AgreementReport:
     """Sweep the Lucas affine criterion (either reading) against the oracle."""
-    if reading not in (AS_PROVED, AS_STATED):
-        raise ValueError(f"reading must be {AS_PROVED!r} or {AS_STATED!r}, got {reading!r}")
-    a_values, b_values = tuple(a_values), tuple(b_values)
-    tasks = [(2, None, int(Prime(p)), a_values, b_values, digit_bound, reading) for p in primes]
-    chunks = _run_tasks(tasks)
-    return AgreementReport(2, reading, digit_bound, tuple(c for chunk in chunks for c in chunk))
+    return _sweep(
+        "lucas", (LUCAS_NUMBERS,), primes, a_values, b_values, digit_bound,
+        _check_reading(reading),
+    )
 
 
 def crossval_theorem3(
     recs, primes, a_values, b_values, digit_bound: int = 3
 ) -> AgreementReport:
     """Sweep the general affine criterion against the oracle, per recurrence."""
-    a_values, b_values = tuple(a_values), tuple(b_values)
-    tasks = [
-        (3, rec, int(Prime(p)), a_values, b_values, digit_bound, None)
-        for rec in recs
-        for p in primes
-    ]
-    chunks = _run_tasks(tasks)
-    return AgreementReport(3, None, digit_bound, tuple(c for chunk in chunks for c in chunk))
+    return _sweep("general", recs, primes, a_values, b_values, digit_bound)

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -375,18 +379,18 @@ def test_help_exits_0(capsys):
     assert run(capsys, "lp-check", "--help")[0] == 0
 
 
-def test_cli_threads_env_determinism(capsys, monkeypatch):
-    monkeypatch.setenv("LUCASLP_THREADS", "1")
-    _, out1, _ = run(
-        capsys, "crossval", "--theorem", "1", "--prime-bound", "5", "--a-max", "4", "--b-max", "4"
+@pytest.mark.parametrize("module", ["lucaslp", "lucaslp.cli"])
+def test_python_m_runs_the_cli(capsys, module):
+    code, expected, _ = run(capsys, "alpha", "--prime", "5")
+    assert code == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "alpha", "--prime", "5"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        timeout=60,
     )
-    monkeypatch.setenv("LUCASLP_THREADS", "2")
-    _, out2, _ = run(
-        capsys, "crossval", "--theorem", "1", "--prime-bound", "5", "--a-max", "4", "--b-max", "4"
-    )
-    assert out1 == out2
-    monkeypatch.setenv("LUCASLP_THREADS", "bogus")
-    code, out, err = run(
-        capsys, "crossval", "--theorem", "1", "--prime-bound", "3", "--a-max", "2", "--b-max", "2"
-    )
-    assert code == 2
+    assert proc.returncode == 0
+    assert proc.stdout == expected

@@ -19,10 +19,7 @@ from lucaslp.lp import (
     AffineIndexMap,
     AperySequence,
     Counterexample,
-    FibAffine,
-    GeneralAffine,
     LPVerdict,
-    LucasAffine,
     NotFoundWithinBoundError,
     OmegaSequence,
     PowerSequence,
@@ -41,7 +38,6 @@ from lucaslp.lp import (
     lemma3_closed_form,
     lp_bruteforce,
     lucas_affine,
-    resolve_workers,
     sequence_is_zero_mod,
     theorem1_condition,
     theorem2_condition,
@@ -54,9 +50,28 @@ from lucaslp.sequences import (
     LinearRecurrence,
     fib_mod,
     lucas_mod,
+    period_mod,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+
+# p | v gives A(n) mod p a positive preperiod at p = 5: 1,4,2,5 is also the
+# recurrence where criterion 3 disagrees with the oracle, and 0,0,3,2
+# vanishes identically
+PREPERIOD_RECS = (
+    LinearRecurrence(1, 4, 2, 5),
+    LinearRecurrence(1, 1, 5, 5),
+    LinearRecurrence(0, 0, 3, 2),
+)
+SWEEP_PRIMES = (2, 3, 5, 7)
+SWEEP_A = range(1, 26)  # past the period of several recurrences at these primes
+SWEEP_B = range(10)
+
+CRITERIA = {
+    "fib": lambda rec, m, p, reading: theorem1_condition(m, p),
+    "lucas": lambda rec, m, p, reading: theorem2_condition(m, p, reading),
+    "general": lambda rec, m, p, reading: theorem3_condition(rec, m, p),
+}
 
 
 def naive_scan(spec, p, digit_bound):
@@ -344,18 +359,26 @@ def test_enumerate_valid_b_general():
 
 
 def test_enumerate_valid_b_oracle_agreement():
-    # every reported b re-verifies; every excluded b < modulus fails or is zero
-    enum = enumerate_valid_b("fib", 2, 3)
-    for b in range(enum.preperiod + enum.modulus):
-        spec = fib_affine(2, b)
-        verdict = lp_bruteforce(spec, 3, 3)
-        zero = sequence_is_zero_mod(spec, 3, 3)
-        if b in enum.valid_b:
-            assert verdict.holds and not zero
-        elif b in enum.identically_zero_b:
-            assert verdict.holds and zero
-        else:
-            assert not verdict.holds
+    # every offset's verdicts re-derive from its own full-length scans; the
+    # strides run past the period, and the general recurrences put some b
+    # inside a positive preperiod
+    cases = [("fib", FIBONACCI), ("lucas", LUCAS_NUMBERS)]
+    cases += [("general", rec) for rec in PREPERIOD_RECS]
+    for family, rec in cases:
+        for p in SWEEP_PRIMES:
+            for a in (1, 2, 21, 25):
+                enum = enumerate_valid_b(family, a, p, rec=rec)
+                assert (enum.preperiod, enum.modulus) == period_mod(rec, p)
+                valid, zero, predicted = [], [], []
+                for b in range(enum.preperiod + enum.modulus):
+                    spec = general_affine(rec, a, b)
+                    if lp_bruteforce(spec, p, 3).holds:
+                        (zero if sequence_is_zero_mod(spec, p, 3) else valid).append(b)
+                    if CRITERIA[family](rec, AffineIndexMap(a, b), p, AS_PROVED):
+                        predicted.append(b)
+                assert enum.valid_b == tuple(valid), (family, rec, p, a)
+                assert enum.identically_zero_b == tuple(zero), (family, rec, p, a)
+                assert enum.predicted_b == tuple(predicted), (family, rec, p, a)
 
 
 def test_corollary1_golden_failing_primes():
@@ -451,28 +474,82 @@ def test_crossval_zero_cells_never_counted_as_disagreement():
     assert report.disagreements == ()
 
 
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("LUCASLP_THREADS", raising=False)
-    assert resolve_workers(4) >= 1
-    monkeypatch.setenv("LUCASLP_THREADS", "2")
-    assert resolve_workers(8) == 2
-    assert resolve_workers(1) == 1
-    monkeypatch.setenv("LUCASLP_THREADS", "0")
-    assert resolve_workers(3) >= 1
-    monkeypatch.setenv("LUCASLP_THREADS", "-1")
-    with pytest.raises(ValueError):
-        resolve_workers(3)
-    monkeypatch.setenv("LUCASLP_THREADS", "lots")
-    with pytest.raises(ValueError):
-        resolve_workers(3)
+def reference_cells(family, recs, reading):
+    """Every cell of the sweep grid scanned on its own, zero check at full length."""
+    cells = []
+    for rec in recs:
+        for p in SWEEP_PRIMES:
+            for a in SWEEP_A:
+                for b in SWEEP_B:
+                    spec = general_affine(rec, a, b)
+                    verdict = lp_bruteforce(spec, p, 3)
+                    zero = verdict.holds and sequence_is_zero_mod(spec, p, 3)
+                    predicted = CRITERIA[family](rec, AffineIndexMap(a, b), p, reading)
+                    cells.append(
+                        (rec, p, a, b, predicted, verdict.holds, zero, verdict.counterexample)
+                    )
+    return cells
 
 
-def test_crossval_deterministic_across_worker_counts(monkeypatch):
-    monkeypatch.setenv("LUCASLP_THREADS", "1")
-    serial = crossval_theorem1((2, 3, 5, 7), range(1, 5), range(0, 5))
-    monkeypatch.setenv("LUCASLP_THREADS", "3")
-    parallel = crossval_theorem1((2, 3, 5, 7), range(1, 5), range(0, 5))
-    assert serial.cells == parallel.cells
+@pytest.mark.parametrize(
+    "family, reading",
+    [("fib", None), ("lucas", AS_PROVED), ("lucas", AS_STATED), ("general", None)],
+)
+def test_sweep_matches_per_cell_reference(family, reading):
+    if family == "fib":
+        recs = (FIBONACCI,)
+        report = crossval_theorem1(SWEEP_PRIMES, SWEEP_A, SWEEP_B)
+    elif family == "lucas":
+        recs = (LUCAS_NUMBERS,)
+        report = crossval_theorem2(SWEEP_PRIMES, SWEEP_A, SWEEP_B, reading)
+    else:
+        recs = PREPERIOD_RECS + (THEOREM3_DEFAULT_RECS[-1],)
+        report = crossval_theorem3(recs, SWEEP_PRIMES, SWEEP_A, SWEEP_B)
+    expected = reference_cells(family, recs, reading)
+    if family == "general":
+        # some cells with b inside a positive preperiod have strides congruent
+        # mod the period but different verdicts, so a sweep that folded the
+        # stride there would fail this test
+        verdicts = {}
+        for rec, p, a, b, _, _, _, counterexample in expected:
+            pre, per = period_mod(rec, p)
+            if b < pre:
+                verdicts.setdefault((rec, p, a % per, b), set()).add(counterexample)
+        assert any(len(found) > 1 for found in verdicts.values())
+    assert all((c.rec is None) == (family != "general") for c in report.cells)
+    got = [
+        (c.rec or recs[0], c.prime, c.a, c.b, c.predicted, c.oracle_holds,
+         c.identically_zero, c.counterexample)
+        for c in report.cells
+    ]
+    assert got == expected
+
+
+@st.composite
+def holding_specs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    kind = draw(st.sampled_from(["affine", "power", "table"]))
+    if kind == "affine":
+        rec = LinearRecurrence(*(draw(st.integers(-7, 7)) for _ in range(4)))
+        spec = general_affine(rec, draw(st.integers(1, 60)), draw(st.integers(0, 60)))
+    elif kind == "power":
+        spec = PowerSequence(draw(st.sampled_from([0, p]) | st.integers(-9, 9)))
+    else:
+        values = [p * draw(st.integers(-2, 2))] * p**3
+        for i in draw(st.lists(st.integers(0, p**3 - 1), max_size=3)):
+            values[i] = draw(st.integers(-9, 9))
+        spec = TableSequence(tuple(values))
+    return spec, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(holding_specs())
+def test_head_zero_decides_identically_zero(case):
+    # a holding scan checked S(n) = S(n // p) * S(n % p) at every n >= p, so
+    # S(0..p-1) all 0 mod p makes every scanned term 0
+    spec, p = case
+    if lp_bruteforce(spec, p, 3).holds:
+        assert sequence_is_zero_mod(spec, p, 1) == sequence_is_zero_mod(spec, p, 3)
 
 
 @settings(max_examples=40, deadline=None)
