@@ -8,8 +8,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lucaslp.modmath import primes_upto
+from lucaslp.lp import AperySequence, OmegaSequence, TableSequence, lp_bruteforce
+from lucaslp.modmath import binomial_mod_lucas, primes_upto
 from lucaslp.special import apery, apery_mod, omega, omega_mod
 
 OMEGA_FIRST = [
@@ -44,6 +47,37 @@ def omega_by_series_inversion(count):
         assert value.denominator == 1
         out.append(value.numerator)
     return out
+
+
+def apery_mod_reference(n, p):
+    # every k <= n, one Lucas binomial pair per k
+    acc = 0
+    for k in range(n + 1):
+        a = binomial_mod_lucas(n, k, p)
+        if a == 0:
+            continue
+        b = binomial_mod_lucas(n + k, k, p)
+        acc = (acc + a * a * b * b) % p
+    return acc
+
+
+_omega_reference_tables = {}
+
+
+def omega_mod_reference(n, p):
+    # the convolution over every 1 <= k <= m, one Lucas binomial per k
+    table = _omega_reference_tables.setdefault(p, [1 % p])
+    while len(table) <= n:
+        m = len(table)
+        acc = 0
+        for k in range(1, m + 1):
+            c = binomial_mod_lucas(m, k, p)
+            if c == 0:
+                continue
+            term = c * c % p * table[m - k] % p
+            acc = acc + term if k % 2 else acc - term
+        table.append(acc % p)
+    return table[n]
 
 
 def test_omega_first_values():
@@ -94,9 +128,33 @@ def test_apery_mod_matches_exact():
 
 
 def test_apery_mod_large_index():
-    # Lucas binomials keep huge indices tractable; spot-check against the
-    # digit-product structure: A(p) mod p = A(1)*A(0) ... built indirectly
-    # from small exact values
     for p in primes_upto(13):
-        assert apery_mod(p, p) == apery(1) * apery(0) % p
-        assert apery_mod(p + 1, p) == apery(1) ** 2 % p
+        assert apery_mod(p, p) == apery(p) % p
+        assert apery_mod(p + 1, p) == apery(p + 1) % p
+    # every digit is p-1, so only k = 0 is carry-free: one term, value 1,
+    # where a walk over every k <= n could never finish
+    assert apery_mod(13**40 - 1, 13) == 1
+
+
+@st.composite
+def prime_and_index(draw):
+    p = draw(st.sampled_from(primes_upto(13)))
+    return p, draw(st.integers(min_value=0, max_value=p**3 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime_and_index())
+def test_digit_box_sums_match_full_range_sums(case):
+    p, n = case
+    assert apery_mod(n, p) == apery_mod_reference(n, p)
+    assert omega_mod(n, p) == omega_mod_reference(n, p)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_oracle_verdict_matches_exact_residue_stream(p):
+    # the same scan over residues reduced from the exact integers, so the
+    # oracle's verdict does not rest on the residue code under test
+    count = p**3
+    for spec, exact in ((AperySequence(), apery), (OmegaSequence(), omega)):
+        stream = TableSequence(tuple(exact(n) for n in range(count)))
+        assert lp_bruteforce(spec, p, 3) == lp_bruteforce(stream, p, 3)
