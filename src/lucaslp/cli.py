@@ -17,16 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .modmath import Prime, primes_upto
-from .sequences import (
-    FIBONACCI,
-    LinearRecurrence,
-    alpha,
-    fib_mod,
-    lucas_mod,
-    period_mod,
-    rec_term,
-    s_poly,
-)
+from .sequences import FIBONACCI, LinearRecurrence, alpha, period_mod
 from .identities import (
     catalan_residual,
     general_catalan_residual,
@@ -37,6 +28,7 @@ from .lp import (
     AS_PROVED,
     AS_STATED,
     AffineIndexMap,
+    AffineSequence,
     AperySequence,
     NotFoundWithinBoundError,
     OmegaSequence,
@@ -44,18 +36,10 @@ from .lp import (
     SequenceSpec,
     TableSequence,
     THEOREM3_DEFAULT_RECS,
+    _FAMILIES,
     corollary1_counterexample,
-    crossval_theorem1,
-    crossval_theorem2,
-    crossval_theorem3,
     enumerate_valid_b,
-    fib_affine,
-    general_affine,
     lp_bruteforce,
-    lucas_affine,
-    theorem1_condition,
-    theorem2_condition,
-    theorem3_condition,
 )
 from .special import apery, apery_mod, omega, omega_mod
 
@@ -111,13 +95,14 @@ def _flatten_row(row: dict) -> dict:
     return flat
 
 
+def _columns(rows) -> list[str]:
+    # keys of all rows in first-seen order
+    return list(dict.fromkeys(key for row in rows for key in row))
+
+
 def _format_csv(report: Report) -> str:
     rows = [_flatten_row(r) for r in report.verdicts]
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = _columns(rows)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, restval="", lineterminator="\n")
     writer.writeheader()
@@ -143,11 +128,7 @@ def _format_plain(report: Report) -> str:
         parts = [f"{k}={_plain_scalar(v)}" for k, v in sorted(report.inputs.items())]
         lines.append("inputs: " + " ".join(parts))
     if report.verdicts:
-        columns: list[str] = []
-        for row in report.verdicts:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+        columns = _columns(report.verdicts)
         table = [[_plain_scalar(row.get(c)) for c in columns] for row in report.verdicts]
         widths = [
             max(len(columns[i]), max(len(r[i]) for r in table)) for i in range(len(columns))
@@ -204,20 +185,52 @@ def _int_list_type(text: str) -> tuple[int, ...]:
 # subcommand handlers; each returns (Report, exit_code)
 
 
+# affine family names by the number of their criterion and by spec variant
+_BY_THEOREM = {fam.theorem: name for name, fam in _FAMILIES.items()}
+_BY_VARIANT = {fam.variant: name for name, fam in _FAMILIES.items()}
+
+
+def _recurrences(args, applies: bool, where: str, many: bool = False) -> tuple:
+    """The --rec values, checked once: only the selection `where` takes --rec.
+
+    Without --rec a sweep (`many`) runs THEOREM3_DEFAULT_RECS and a single
+    query fails.
+    """
+    given = () if args.rec is None else tuple(args.rec) if many else (args.rec,)
+    if given and not applies:
+        raise ValueError(f"--rec only applies to {where}")
+    if applies and not given and not many:
+        raise ValueError(f"{where} needs --rec A0,A1,u,v")
+    return given or (THEOREM3_DEFAULT_RECS if applies else ())
+
+
+def _affine(args, family: str, label: str, many: bool = False):
+    """(family row, recurrences, reading) of a subcommand on an affine family.
+
+    `label` renders a family's selection from its name and fields, e.g.
+    "--which {theorem}". This is the one place --reading is checked.
+    """
+    fam = _FAMILIES[family]
+
+    def where(takes):
+        return " and ".join(
+            label.format(name=n, **f._asdict()) for n, f in _FAMILIES.items() if takes(f)
+        )
+
+    reading = getattr(args, "reading", None)
+    if reading is not None and fam.reading is None:
+        raise ValueError(f"--reading only applies to {where(lambda f: f.reading)}")
+    recs = _recurrences(args, fam.rec is None, where(lambda f: f.rec is None), many)
+    return fam, recs or (fam.rec,), reading or fam.reading
+
+
 def _build_spec(args) -> SequenceSpec:
     variant = args.variant
-    if variant in ("fib-affine", "lucas-affine", "general-affine"):
+    if variant in _BY_VARIANT:
         if args.a is None or args.b is None:
             raise ValueError(f"variant {variant} needs --a and --b")
-        if variant == "general-affine":
-            if args.rec is None:
-                raise ValueError("variant general-affine needs --rec A0,A1,u,v")
-            return general_affine(args.rec, args.a, args.b)
-        if args.rec is not None:
-            raise ValueError("--rec only applies to variant general-affine")
-        if variant == "fib-affine":
-            return fib_affine(args.a, args.b)
-        return lucas_affine(args.a, args.b)
+        fam, (rec,), _ = _affine(args, _BY_VARIANT[variant], "variant {variant}")
+        return AffineSequence(rec, AffineIndexMap(args.a, args.b), fam.variant)
     if variant == "power":
         if args.base is None:
             raise ValueError("variant power needs --base")
@@ -240,47 +253,24 @@ def _cmd_lp_check(args):
 
 
 def _cmd_theorem(args):
-    which = args.which
-    if which != 2 and args.reading is not None:
-        raise ValueError("--reading only applies to --which 2")
-    if which != 3 and args.rec is not None:
-        raise ValueError("--rec only applies to --which 3")
+    fam, (rec,), reading = _affine(args, _BY_THEOREM[args.which], "--which {theorem}")
     p = args.prime
     index_map = AffineIndexMap(args.a, args.b)
-    row = {"theorem": which, "prime": int(p), "a": args.a, "b": args.b}
-    if which == 1:
-        condition = theorem1_condition(index_map, p)
-        row["fib_a_mod_p"] = fib_mod(args.a, p)
-        row["fib_b_mod_p"] = fib_mod(args.b, p)
-    elif which == 2:
-        reading = args.reading or AS_PROVED
-        condition = theorem2_condition(index_map, p, reading)
+    inputs = {"theorem": fam.theorem, "prime": int(p), "a": args.a, "b": args.b}
+    row = dict(inputs)
+    if reading:
         row["reading"] = reading
-        row["five_fib_a_mod_p"] = 5 * fib_mod(args.a, p) % int(p)
-        row["seed_term_mod_p"] = (
-            lucas_mod(args.b, p) if reading == AS_PROVED else fib_mod(args.b, p)
-        )
-    else:
-        if args.rec is None:
-            raise ValueError("--which 3 needs --rec A0,A1,u,v")
-        rec = args.rec
-        condition = theorem3_condition(rec, index_map, p)
+    if fam.rec is None:
         row["rec"] = rec.as_string()
-        factor = rec.v * s_poly(args.a - 1, rec.u, rec.v) * rec.seed_discriminant()
-        row["vanishing_factor_mod_p"] = factor % int(p)
-        row["term_b_mod_p"] = rec_term(rec, args.b, p)
-    row["condition"] = condition
-    inputs = {"theorem": which, "prime": int(p), "a": args.a, "b": args.b}
+    residues = fam.vanishing(rec, args.a, p), fam.seed(rec, args.b, p, reading)
+    row.update(zip(fam.clauses, residues))
+    row["condition"] = condition = fam.criterion(rec, index_map, p, reading)
     return Report("theorem", inputs, [row]), (0 if condition else 1)
 
 
 def _cmd_enumerate_b(args):
-    if args.family == "general":
-        if args.rec is None:
-            raise ValueError("--family general needs --rec A0,A1,u,v")
-    elif args.rec is not None:
-        raise ValueError("--rec only applies to --family general")
-    enum = enumerate_valid_b(args.family, args.a, args.prime, args.digits, rec=args.rec)
+    fam, (rec,), _ = _affine(args, args.family, "--family {name}")
+    enum = enumerate_valid_b(args.family, args.a, args.prime, args.digits, rec=rec)
     valid = set(enum.valid_b)
     predicted = set(enum.predicted_b)
     zero = set(enum.identically_zero_b)
@@ -307,8 +297,8 @@ def _cmd_enumerate_b(args):
         "prime": int(args.prime),
         "digits": args.digits,
     }
-    if args.rec is not None:
-        inputs["rec"] = args.rec.as_string()
+    if fam.rec is None:
+        inputs["rec"] = rec.as_string()
     code = 0 if enum.matches_prediction else 1
     return Report("enumerate-b", inputs, rows, agreement), code
 
@@ -358,16 +348,16 @@ def _cmd_identity(args):
     n_max = args.n_max if args.n_max is not None else defaults[which]
     if n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {n_max}")
+    recs = _recurrences(
+        args, which in ("general", "shift"), "general and shift identities", many=True
+    )
     if which in ("catalan", "lucas-catalan"):
-        if args.rec:
-            raise ValueError("--rec only applies to general and shift identities")
         residual = catalan_residual if which == "catalan" else lucas_catalan_residual
         pairs = [
             (f"n={n},r={r}", (n, r)) for n in range(n_max + 1) for r in range(n + 1)
         ]
         rows = [{"identity": which, "n_max": n_max, **_sweep_residuals(pairs, residual)}]
     else:
-        recs = tuple(args.rec) if args.rec else THEOREM3_DEFAULT_RECS
         rows = []
         for rec in recs:
             if which == "general":
@@ -407,51 +397,37 @@ def _cmd_special(args):
     return Report("special", inputs, rows), 0
 
 
+_CELL_COLUMNS = ("prime", "a", "b", "predicted", "oracle_holds", "identically_zero", "disagrees")
+
+
 def _cell_row(cell, with_rec: bool) -> dict:
-    row: dict = {}
-    if with_rec:
-        row["rec"] = cell.rec.as_string()
-    row.update(
-        prime=cell.prime,
-        a=cell.a,
-        b=cell.b,
-        predicted=cell.predicted,
-        oracle_holds=cell.oracle_holds,
-        identically_zero=cell.identically_zero,
-        disagrees=cell.disagrees,
-    )
+    row = {"rec": cell.rec.as_string()} if with_rec else {}
+    row.update((key, getattr(cell, key)) for key in _CELL_COLUMNS)
     return row
 
 
 def _cmd_crossval(args):
-    theorem = args.theorem
-    if theorem != 2 and args.reading is not None:
-        raise ValueError("--reading only applies to --theorem 2")
-    if theorem != 3 and args.rec:
-        raise ValueError("--rec only applies to --theorem 3")
+    fam, recs, reading = _affine(
+        args, _BY_THEOREM[args.theorem], "--theorem {theorem}", many=True
+    )
     primes = primes_upto(args.prime_max)
     if not primes:
         raise ValueError(f"no primes <= {args.prime_max}")
-    a_values = range(1, args.a_max + 1)
-    b_values = range(args.b_max + 1)
     inputs = {
-        "theorem": theorem,
+        "theorem": fam.theorem,
         "prime_max": args.prime_max,
         "a_max": args.a_max,
         "b_max": args.b_max,
         "digits": args.digits,
     }
-    if theorem == 1:
-        sweep = crossval_theorem1(primes, a_values, b_values, args.digits)
-    elif theorem == 2:
-        reading = args.reading or AS_PROVED
+    if reading:
         inputs["reading"] = reading
-        sweep = crossval_theorem2(primes, a_values, b_values, reading, args.digits)
-    else:
-        recs = tuple(args.rec) if args.rec else THEOREM3_DEFAULT_RECS
+    with_rec = fam.rec is None
+    if with_rec:
         inputs["recs"] = [r.as_string() for r in recs]
-        sweep = crossval_theorem3(recs, primes, a_values, b_values, args.digits)
-    with_rec = theorem == 3
+    sweep = fam.crossval(
+        recs, primes, range(1, args.a_max + 1), range(args.b_max + 1), reading, args.digits
+    )
     rows = [_cell_row(c, with_rec) for c in sweep.cells]
     disagreements = [
         {
@@ -461,7 +437,7 @@ def _cmd_crossval(args):
         for c in sweep.disagreements
     ]
     agreement = {
-        "theorem": theorem,
+        "theorem": fam.theorem,
         "reading": sweep.reading,
         "cells": len(sweep.cells),
         "flagged_identically_zero": len(sweep.identically_zero_cells),
@@ -514,10 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "variant",
-        choices=(
-            "fib-affine", "lucas-affine", "general-affine",
-            "power", "apery", "omega", "table",
-        ),
+        choices=(*_BY_VARIANT, "power", "apery", "omega", "table"),
     )
     p_check.add_argument("--prime", type=_prime_type, required=True)
     p_check.add_argument("--digits", type=int, default=3, help="scan all n < prime**digits")
@@ -531,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm = sub.add_parser(
         "theorem", parents=[common], help="evaluate a closed-form criterion"
     )
-    p_thm.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
+    p_thm.add_argument("--which", type=int, choices=tuple(_BY_THEOREM), required=True)
     p_thm.add_argument("--a", type=int, required=True)
     p_thm.add_argument("--b", type=int, required=True)
     p_thm.add_argument("--prime", type=_prime_type, required=True)
@@ -546,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate-b", parents=[common],
         help="list offsets b passing the oracle for a fixed stride",
     )
-    p_enum.add_argument("--family", choices=("fib", "lucas", "general"), default="fib")
+    p_enum.add_argument("--family", choices=tuple(_FAMILIES), default="fib")
     p_enum.add_argument("--a", type=int, required=True)
     p_enum.add_argument("--prime", type=_prime_type, required=True)
     p_enum.add_argument("--digits", type=int, default=3)
@@ -592,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         "crossval", parents=[common],
         help="sweep a criterion against the oracle over a (prime, a, b) grid",
     )
-    p_cross.add_argument("--theorem", type=int, choices=(1, 2, 3), required=True)
+    p_cross.add_argument("--theorem", type=int, choices=tuple(_BY_THEOREM), required=True)
     p_cross.add_argument("--prime-bound", type=int, dest="prime_max", default=13,
                          help="use every prime <= this bound (default 13)")
     p_cross.add_argument("--a-max", type=int, dest="a_max", default=12)
@@ -614,7 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_counter.add_argument("--a", type=int, required=True)
     p_counter.add_argument("--b", type=int, required=True)
-    p_counter.add_argument("--family", choices=("fib", "lucas"), default="fib")
+    p_counter.add_argument(
+        "--family", choices=tuple(n for n, f in _FAMILIES.items() if f.rec), default="fib"
+    )
     p_counter.add_argument("--prime-bound", type=int, dest="prime_bound", default=50)
     p_counter.add_argument("--digits", type=int, default=3)
     p_counter.set_defaults(handler=_cmd_counterexample)

@@ -10,8 +10,9 @@ either one.
 
 Every affine subsequence S(n) = A(a*n + b) of a second-order recurrence is
 one `AffineSequence`; a family table maps "fib", "lucas" and "general" to
-their recurrence and criterion, and a single in-process sweep drives the
-crossval entry points and the valid-offset enumeration. A(n) mod p is
+their recurrence and their criterion, a vanishing residue that must be 0
+and a seed residue that must be 1 mod p. A single in-process sweep drives
+the crossval entry points and the valid-offset enumeration. A(n) mod p is
 ultimately periodic, so for b past the preperiod the residues of S depend
 only on (a mod period, b folded into the period): the sweep scans each such
 residue class once and reuses the verdict for every cell in it.
@@ -37,7 +38,7 @@ from .sequences import (
     PeriodInfo,
     fib_mod,
     lucas_mod,
-    s_poly,
+    rec_term,
     term_table_mod,
 )
 from .special import apery_mod, omega_mod
@@ -389,16 +390,25 @@ def lemma3_closed_form(kind: str, n: int) -> int:
     raise ValueError(f"kind must be 'fib' or 'lucas', got {kind!r}")
 
 
-def theorem1_condition(index_map: AffineIndexMap, p) -> bool:
-    """F(a) = 0 and F(b) = 1 mod p: the criterion for S(n) = F(a*n + b)."""
-    p = Prime(p)
-    return fib_mod(index_map.a, p) == 0 and fib_mod(index_map.b, p) == 1
-
-
 def _check_reading(reading: str) -> str:
     if reading not in (AS_PROVED, AS_STATED):
         raise ValueError(f"reading must be {AS_PROVED!r} or {AS_STATED!r}, got {reading!r}")
     return reading
+
+
+def _holds(family: str, rec, index_map: AffineIndexMap, p, reading=None) -> bool:
+    """Vanishing residue 0, then (only if so) seed residue 1 mod p."""
+    fam = _FAMILIES[family]
+    p = Prime(p)
+    return (
+        fam.vanishing(rec, index_map.a, p) == 0
+        and fam.seed(rec, index_map.b, p, reading) == 1
+    )
+
+
+def theorem1_condition(index_map: AffineIndexMap, p) -> bool:
+    """F(a) = 0 and F(b) = 1 mod p: the criterion for S(n) = F(a*n + b)."""
+    return _holds("fib", FIBONACCI, index_map, p)
 
 
 def theorem2_condition(index_map: AffineIndexMap, p, reading: str = AS_PROVED) -> bool:
@@ -409,13 +419,7 @@ def theorem2_condition(index_map: AffineIndexMap, p, reading: str = AS_PROVED) -
     is refutable by brute force (see the cross-validation sweeps), so
     as-proved is the default.
     """
-    p = Prime(p)
-    _check_reading(reading)
-    if 5 * fib_mod(index_map.a, p) % int(p) != 0:
-        return False
-    if reading == AS_PROVED:
-        return lucas_mod(index_map.b, p) == 1
-    return fib_mod(index_map.b, p) == 1
+    return _holds("lucas", LUCAS_NUMBERS, index_map, p, _check_reading(reading))
 
 
 def theorem3_condition(rec: LinearRecurrence, index_map: AffineIndexMap, p) -> bool:
@@ -423,16 +427,7 @@ def theorem3_condition(rec: LinearRecurrence, index_map: AffineIndexMap, p) -> b
 
     v * s(a-1) * (v A0^2 + u A0 A1 - A1^2) = 0 mod p  and  A(b) = 1 mod p.
     """
-    p = Prime(p)
-    first = rec.v * s_poly(index_map.a - 1, rec.u, rec.v) * rec.seed_discriminant()
-    if first % int(p) != 0:
-        return False
-    return _affine_term(rec, index_map.b, int(p)) == 1
-
-
-def _affine_term(rec: LinearRecurrence, idx: int, p: int) -> int:
-    info, terms = _cached_term_table(rec, p)
-    return terms[_fold(info, idx)]
+    return _holds("general", rec, index_map, p)
 
 
 # ---------------------------------------------------------------------------
@@ -443,22 +438,43 @@ class _Family(NamedTuple):
     theorem: int
     rec: LinearRecurrence | None  # None: the caller supplies the recurrence
     variant: str
-    criterion: Callable[[LinearRecurrence, AffineIndexMap, Prime, str | None], bool]
+    reading: str | None  # default seed-clause reading; None where there is no choice
+    clauses: tuple[str, str]  # report columns of the vanishing and the seed residue
+    vanishing: Callable  # (rec, a, p) -> the residue mod p that must be 0
+    seed: Callable  # (rec, b, p, reading) -> the residue mod p that must be 1
+    criterion: Callable  # (rec, index_map, p, reading) -> bool
+    crossval: Callable  # (recs, primes, a_values, b_values, reading, digits) -> report
 
 
-# The criteria are looked up by module-level name at call time, so rebinding
-# one of these functions on the module (as perfbench/tracer.py does) reaches
-# the sweep.
+# Every residue takes O(log a + log b) multiplications mod p. The criteria,
+# crossval entry points and sequence functions are looked up by module-level
+# name at call time, so rebinding one of them on the module (as
+# perfbench/tracer.py does) reaches every user of this table.
 _FAMILIES = {
     "fib": _Family(
-        1, FIBONACCI, "fib-affine", lambda rec, m, p, reading: theorem1_condition(m, p)
+        1, FIBONACCI, "fib-affine", None, ("fib_a_mod_p", "fib_b_mod_p"),
+        lambda rec, a, p: fib_mod(a, p),
+        lambda rec, b, p, reading: fib_mod(b, p),
+        lambda rec, m, p, reading: theorem1_condition(m, p),
+        lambda recs, primes, a, b, reading, d: crossval_theorem1(primes, a, b, d),
     ),
     "lucas": _Family(
-        2, LUCAS_NUMBERS, "lucas-affine",
+        2, LUCAS_NUMBERS, "lucas-affine", AS_PROVED, ("five_fib_a_mod_p", "seed_term_mod_p"),
+        lambda rec, a, p: 5 * fib_mod(a, p) % p,
+        lambda rec, b, p, reading: (lucas_mod if reading == AS_PROVED else fib_mod)(b, p),
         lambda rec, m, p, reading: theorem2_condition(m, p, reading),
+        lambda recs, primes, a, b, reading, d: crossval_theorem2(primes, a, b, reading, d),
     ),
     "general": _Family(
-        3, None, "general-affine", lambda rec, m, p, reading: theorem3_condition(rec, m, p)
+        3, None, "general-affine", None, ("vanishing_factor_mod_p", "term_b_mod_p"),
+        # s(k) is the recurrence with seeds (1, u) and A's coefficients (u, v)
+        lambda rec, a, p: (
+            rec.v * rec_term(LinearRecurrence(1, rec.u, rec.u, rec.v), a - 1, p)
+            * rec.seed_discriminant() % p
+        ),
+        lambda rec, b, p, reading: rec_term(rec, b, p),
+        lambda rec, m, p, reading: theorem3_condition(rec, m, p),
+        lambda recs, primes, a, b, reading, d: crossval_theorem3(recs, primes, a, b, d),
     ),
 }
 
@@ -540,7 +556,7 @@ def corollary1_counterexample(
     """
     if index_map.b < 1:
         raise ValueError(f"offset b must be >= 1 here, got {index_map.b}")
-    if family not in ("fib", "lucas"):
+    if family not in _FAMILIES or _FAMILIES[family].rec is None:
         raise ValueError(f"family must be 'fib' or 'lucas', got {family!r}")
     spec = AffineSequence(_FAMILIES[family].rec, index_map, _FAMILIES[family].variant)
     for q in range(2, prime_bound + 1):

@@ -24,13 +24,17 @@ class NonInvertibleError(ValueError):
     """Raised when asked for an inverse of a residue divisible by the modulus."""
 
 
-# Deterministic Miller-Rabin witness set; sound for every n below 3.3e24,
-# which covers the full supported range (indices up to 2**64 - 1).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the primes up to 41 as witnesses is deterministic below
+# psi_13, the least strong pseudoprime to all of them (Sorenson and Webster,
+# Math. Comp. 86, 2017); larger n are refused rather than guessed.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    """Deterministic primality test; ValueError for n >= psi_13 (about 3.3e24)."""
+    if n >= _PSI_13:
+        raise ValueError(f"primality is only decided below {_PSI_13}, got {n}")
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -134,7 +138,7 @@ def binomial_exact(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # each table holds p*p/2 residues; keep a few primes only
 def _pascal_mod(p: int) -> tuple[tuple[int, ...], ...]:
     # C(i, j) mod p for 0 <= j <= i < p
     rows = [[1]]

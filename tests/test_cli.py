@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,31 @@ def test_theorem_flag_scoping(capsys):
         "--rec", "0,1,1,1",
     )
     assert code == 2 and "--rec" in err
+
+
+def test_theorem_3_huge_strides_are_fast(capsys):
+    for a, p in (("100000", "7"), ("18446744073709551615", "10007")):
+        start = time.perf_counter()
+        code, report = run_json(
+            capsys, "theorem", "--which", "3", "--rec", "1,2,3,5", "--a", a, "--b", "1",
+            "--prime", p,
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert report["verdicts"][0]["term_b_mod_p"] == 2
+
+
+def test_prime_beyond_proven_bound_exits_2(capsys):
+    # a composite that the witnesses 2..37 alone would call prime
+    code, out, err = run(
+        capsys, "theorem", "--which", "1", "--a", "1", "--b", "1",
+        "--prime", "318665857834031151167461",
+    )
+    assert code == 2 and out == "" and "not a prime" in err
+    code, out, err = run(
+        capsys, "alpha", "--prime", "3317044064679887385961981",
+    )
+    assert code == 2 and out == "" and "only decided below" in err
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +420,17 @@ def test_python_m_runs_the_cli(capsys, module):
     )
     assert proc.returncode == 0
     assert proc.stdout == expected
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: stdout and exit code of every affine command in every format
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_stdout(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert err == ""
+    assert code == case["exit_code"]
+    assert out == case["stdout"]

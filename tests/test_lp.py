@@ -42,6 +42,7 @@ from lucaslp.lp import (
     theorem1_condition,
     theorem2_condition,
     theorem3_condition,
+    _FAMILIES,
 )
 from lucaslp.sequences import (
     FIBONACCI,
@@ -51,6 +52,9 @@ from lucaslp.sequences import (
     fib_mod,
     lucas_mod,
     period_mod,
+    rec_term,
+    s_poly,
+    term_table_mod,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -302,6 +306,37 @@ def test_theorem3_condition_examples():
     # v = 0 recurrences vanish the factor for every stride
     rec = LinearRecurrence(1, 1, 1, 0)
     assert theorem3_condition(rec, AffineIndexMap(1, 0), 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([p for p in range(2, 48) if all(p % q for q in range(2, p))]),
+    st.integers(1, 60),
+    st.integers(0, 60),
+    st.tuples(*[st.integers(-6, 6)] * 4),
+)
+def test_theorem3_residues_match_exact_reference(p, a, b, data):
+    # the exact big-int shift coefficient and the iterated term, reduced mod p
+    rec = LinearRecurrence(*data)
+    fam = _FAMILIES["general"]
+    vanishing = rec.v * s_poly(a - 1, rec.u, rec.v) * rec.seed_discriminant() % p
+    term_b = rec_term(rec, b) % p
+    assert fam.vanishing(rec, a, p) == vanishing
+    assert fam.seed(rec, b, p, None) == term_b
+    assert theorem3_condition(rec, AffineIndexMap(a, b), p) == (vanishing == 0 and term_b == 1)
+
+
+def test_theorem3_residues_at_huge_strides():
+    # s(a-1) mod p read from the folded term table of s, an independent route
+    rec = LinearRecurrence(1, 2, 3, 5)
+    s_rec = LinearRecurrence(1, rec.u, rec.u, rec.v)
+    for p in (7, 11, 13):
+        (pre, per), terms = term_table_mod(s_rec, p)
+        for a in (100000, 2**64 - 1, 10**30 + 7):
+            k = a - 1
+            s = terms[k if k < pre else pre + (k - pre) % per]
+            expected = rec.v * s * rec.seed_discriminant() % p
+            assert _FAMILIES["general"].vanishing(rec, a, p) == expected, (p, a)
 
 
 def test_theorem_conditions_match_on_shared_family():

@@ -57,6 +57,20 @@ def test_is_prime_64bit_spot_checks():
     assert not is_prime(2**61 + 1)
 
 
+def test_is_prime_refuses_beyond_proven_witness_bound():
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
+    # base up to 37; base 41 exposes it
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(10**24 + 7)
+    # psi_13 = 1287836182261 * 2575672364521 passes every base up to 41
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError):
+        Prime(3317044064679887385961981)
+    with pytest.raises(ValueError):
+        Prime(318665857834031151167461)
+
+
 def test_primes_upto():
     assert primes_upto(13) == [2, 3, 5, 7, 11, 13]
     assert primes_upto(1) == []
