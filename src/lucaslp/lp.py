@@ -126,7 +126,8 @@ class SequenceSpec:
         raise NotImplementedError
 
 
-@lru_cache(maxsize=None)
+# a table holds up to p*p terms; sweeps read one (rec, p) at a time
+@lru_cache(maxsize=4)
 def _cached_term_table(rec: LinearRecurrence, p: int):
     info, terms = term_table_mod(rec, p)
     return info, tuple(terms)

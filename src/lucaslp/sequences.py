@@ -1,15 +1,23 @@
 """Fibonacci, Lucas, and general second-order recurrences, exact and mod p.
 
-Exact values use fast doubling (Fibonacci/Lucas) or plain iteration; modular
-values of huge-index terms go through 2x2 companion-matrix exponentiation.
-Residue sequences mod p are ultimately periodic in the state pair, so a
-finite term table plus (preperiod, period) determines every term.
+Every term by index, exact or mod p, is a power of the 2x2 companion matrix
+[[u, v], [1, 0]] (`rec_term`); Fibonacci and Lucas numbers are the
+recurrences FIBONACCI and LUCAS_NUMBERS.
+
+Residue sequences mod p are ultimately periodic in the state pair
+(A(n), A(n+1)), so a finite term table plus (preperiod, period) determines
+every term. The preperiod is at most 2: the step (x, y) -> (y, uy + vx) is
+a bijection when p does not divide v; when it does, every state from n = 1
+on is (x, ux), and x -> ux is either a bijection or sends everything to 0.
+So state 2 is on its cycle, and the period is its return time, found
+without storing the states visited.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from .modmath import Prime, binomial_exact
@@ -81,106 +89,64 @@ class PeriodInfo(NamedTuple):
     period: int
 
 
-def _fib_pair(n: int) -> tuple[int, int]:
-    # (F(n), F(n+1)) by index doubling: F(2k) = F(k)(2F(k+1) - F(k)),
-    # F(2k+1) = F(k)^2 + F(k+1)^2
-    a, b = 0, 1
-    for i in range(n.bit_length() - 1, -1, -1):
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        if (n >> i) & 1:
-            a, b = d, c + d
-        else:
-            a, b = c, d
-    return a, b
-
-
 def fib(n: int) -> int:
     """F(n) exactly, with F(0) = 0, F(1) = 1."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return _fib_pair(n)[0]
+    return rec_term(FIBONACCI, n)
 
 
 def lucas_num(n: int) -> int:
     """L(n) exactly, with L(0) = 2, L(1) = 1."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    a, b = _fib_pair(n)
-    return 2 * b - a
-
-
-def _fib_pair_mod(n: int, p: int) -> tuple[int, int]:
-    a, b = 0, 1 % p
-    for i in range(n.bit_length() - 1, -1, -1):
-        c = a * (2 * b - a) % p
-        d = (a * a + b * b) % p
-        if (n >> i) & 1:
-            a, b = d, (c + d) % p
-        else:
-            a, b = c, d
-    return a, b
+    return rec_term(LUCAS_NUMBERS, n)
 
 
 def fib_mod(n: int, p) -> int:
     """F(n) mod p in O(log n) multiplications."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return _fib_pair_mod(n, int(Prime(p)))[0]
+    return rec_term(FIBONACCI, n, p)
 
 
 def lucas_mod(n: int, p) -> int:
-    """L(n) mod p in O(log n) multiplications, via L(n) = 2F(n+1) - F(n)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    p = int(Prime(p))
-    a, b = _fib_pair_mod(n, p)
-    return (2 * b - a) % p
+    """L(n) mod p in O(log n) multiplications."""
+    return rec_term(LUCAS_NUMBERS, n, p)
 
 
-def _mat_mul_mod(x, y, p):
-    return (
-        (x[0] * y[0] + x[1] * y[2]) % p,
-        (x[0] * y[1] + x[1] * y[3]) % p,
-        (x[2] * y[0] + x[3] * y[2]) % p,
-        (x[2] * y[1] + x[3] * y[3]) % p,
-    )
+def _mat_pow(m, e: int, p: int | None):
+    """The 2x2 matrix m = (a, b, c, d), row by row, to the power e.
+
+    Entries are reduced mod p unless p is None. The bits of e are read from
+    the top, so each step is one squaring (five products) and at most one
+    product with m itself.
+    """
+    m0, m1, m2, m3 = m
+    a, b, c, d = 1, 0, 0, 1
+    for bit in bin(e)[2:]:
+        bc, trace = b * c, a + d
+        a, b, c, d = a * a + bc, b * trace, c * trace, d * d + bc
+        if bit == "1":
+            a, b, c, d = a * m0 + b * m2, a * m1 + b * m3, c * m0 + d * m2, c * m1 + d * m3
+        if p is not None:
+            a, b, c, d = a % p, b % p, c % p, d % p
+    return a, b, c, d
 
 
-def _mat_pow_mod(m, e, p):
-    r = (1 % p, 0, 0, 1 % p)
-    while e:
-        if e & 1:
-            r = _mat_mul_mod(r, m, p)
-        m = _mat_mul_mod(m, m, p)
-        e >>= 1
-    return r
-
-
-@lru_cache(maxsize=None)
+# the largest working set measured is about 1400 terms (a theorem-3 grid)
+@lru_cache(maxsize=4096)
 def rec_term(rec: LinearRecurrence, n: int, modulus=None) -> int:
     """A(n) for the recurrence, exact (modulus None) or reduced mod a prime.
 
-    The modular path powers the companion matrix [[u, v], [1, 0]], so huge
-    indices stay cheap; the exact path iterates. Results are memoized, which
-    makes dense sweeps over overlapping indices effectively table lookups.
+    Both paths power the companion matrix [[u, v], [1, 0]], so a term costs
+    O(log n) multiplications. Results are memoized, which makes dense
+    sweeps over overlapping indices effectively table lookups.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if modulus is None:
-        a, b = rec.a0, rec.a1
-        if n == 0:
-            return a
-        for _ in range(n - 1):
-            a, b = b, rec.u * b + rec.v * a
-        return b
-    p = int(Prime(modulus))
-    m = _mat_pow_mod((rec.u % p, rec.v % p, 1 % p, 0), n, p)
+    p = None if modulus is None else int(Prime(modulus))
+    m = _mat_pow((rec.u, rec.v, 1, 0), n, p)
     # M^n (A1, A0)^T = (A(n+1), A(n))^T, so A(n) is the bottom row applied
-    return (m[2] * rec.a1 + m[3] * rec.a0) % p
+    term = m[2] * rec.a1 + m[3] * rec.a0
+    return term if p is None else term % p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def s_poly(k: int, u: int, v: int) -> int:
     """Shift coefficient s(k) = sum over i of C(k-i, i) u^(k-2i) v^i."""
     if k < 0:
@@ -191,7 +157,7 @@ def s_poly(k: int, u: int, v: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def t_poly(k: int, u: int, v: int) -> int:
     """Shift coefficient t(k) = sum over j of C(k-1-j, j) u^(k-1-2j) v^(j+1).
 
@@ -208,35 +174,45 @@ def t_poly(k: int, u: int, v: int) -> int:
     )
 
 
-def _scan_states(rec: LinearRecurrence, p: int, scan_limit: int):
-    # First-occurrence scan of the state pair (A(n), A(n+1)) mod p.
-    seen: dict[tuple[int, int], int] = {}
-    terms: list[int] = []
-    state = (rec.a0 % p, rec.a1 % p)
+def _states(rec: LinearRecurrence, p: int):
+    # the state pairs (A(n), A(n+1)) mod p for n = 0, 1, 2, ...
+    x, y = rec.a0 % p, rec.a1 % p
     u, v = rec.u % p, rec.v % p
-    for t in range(scan_limit + 1):
-        if state in seen:
-            start = seen[state]
-            return start, t - start, terms
-        seen[state] = t
-        terms.append(state[0])
-        state = (state[1], (u * state[1] + v * state[0]) % p)
-    raise ScanExhaustedError(
-        f"state pair of {rec.as_string()} mod {p} did not repeat within {scan_limit} steps"
-    )
+    while True:
+        yield x, y
+        x, y = y, (u * y + v * x) % p
+
+
+def _cycle(rec: LinearRecurrence, p: int, scan_limit: int | None) -> PeriodInfo:
+    # State 2 lies on its cycle (see the module docstring), so the period is
+    # its return time, and state i is on the cycle iff it equals the cycle
+    # state 2 - i steps before state 2.
+    if scan_limit is None:
+        scan_limit = p * p + 1
+    states = _states(rec, p)
+    s0, s1, s2 = next(states), next(states), next(states)
+    two_back = one_back = s2
+    for period, state in enumerate(states, 1):
+        if state == s2 or period >= scan_limit:
+            break
+        two_back, one_back = one_back, state
+    preperiod = 0 if s0 == two_back else 1 if s1 == one_back else 2
+    if state != s2 or preperiod + period > scan_limit:
+        raise ScanExhaustedError(
+            f"state pair of {rec.as_string()} mod {p} did not repeat within {scan_limit} steps"
+        )
+    return PeriodInfo(preperiod, period)
 
 
 def period_mod(rec: LinearRecurrence, p, scan_limit: int | None = None) -> PeriodInfo:
     """Minimal (preperiod, period) of A(n) mod p as a state-pair sequence.
 
-    The state space has p**2 elements, so the default scan limit p**2 + 1
-    always suffices; a smaller explicit limit may raise ScanExhaustedError.
+    The walk keeps O(1) states. The state space has p**2 elements, so the
+    default scan limit p**2 + 1 always suffices; ScanExhaustedError is
+    raised exactly when preperiod + period exceeds an explicit limit.
     """
     p = int(Prime(p))
-    if scan_limit is None:
-        scan_limit = p * p + 1
-    start, length, _ = _scan_states(rec, p, scan_limit)
-    return PeriodInfo(start, length)
+    return _cycle(rec, p, scan_limit)
 
 
 def term_table_mod(rec: LinearRecurrence, p, scan_limit: int | None = None):
@@ -246,10 +222,8 @@ def term_table_mod(rec: LinearRecurrence, p, scan_limit: int | None = None):
     preperiod fold down with period per.
     """
     p = int(Prime(p))
-    if scan_limit is None:
-        scan_limit = p * p + 1
-    start, length, terms = _scan_states(rec, p, scan_limit)
-    return PeriodInfo(start, length), terms
+    info = _cycle(rec, p, scan_limit)
+    return info, [x for x, _ in islice(_states(rec, p), info.preperiod + info.period)]
 
 
 def alpha(p, scan_limit: int | None = None) -> int:

@@ -1,17 +1,22 @@
 """Recurrence terms, shift coefficients, and period machinery.
 
-Oracles here are plain iterated recurrences built inside the tests, so the
-fast paths (doubling, matrix powers, period folding) are checked against an
-independent route rather than against themselves.
+Oracles here are plain iterated recurrences, Fibonacci fast doubling and a
+first-occurrence scan of the state pairs, all built inside the tests, so
+the fast paths (matrix powers, the O(1)-memory period walk, period folding)
+are checked against an independent route rather than against themselves.
 """
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lucaslp
+from lucaslp.lp import AffineIndexMap, theorem3_condition
 from lucaslp.modmath import primes_upto
 from lucaslp.sequences import (
     FIBONACCI,
@@ -44,6 +49,37 @@ def iterate_rec(a0, a1, u, v, count):
 
 FIB_TABLE = iterate_rec(0, 1, 1, 1, 2001)
 LUCAS_TABLE = iterate_rec(2, 1, 1, 1, 2001)
+
+
+def fib_pair_reference(n, p=None):
+    """(F(n), F(n+1)) by index doubling, reduced mod p when p is given.
+
+    F(2k) = F(k)(2F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2.
+    """
+    reduce = (lambda x: x) if p is None else (lambda x: x % p)
+    a, b = 0, reduce(1)
+    for i in range(n.bit_length() - 1, -1, -1):
+        c = reduce(a * (2 * b - a))
+        d = reduce(a * a + b * b)
+        if (n >> i) & 1:
+            a, b = d, reduce(c + d)
+        else:
+            a, b = c, d
+    return a, b
+
+
+def scan_states_reference(rec, p, scan_limit):
+    """(preperiod, period, terms) by a first-occurrence scan of the state pairs."""
+    seen = {}
+    terms = []
+    state = (rec.a0 % p, rec.a1 % p)
+    for t in range(scan_limit + 1):
+        if state in seen:
+            return seen[state], t - seen[state], terms
+        seen[state] = t
+        terms.append(state[0])
+        state = (state[1], (rec.u * state[1] + rec.v * state[0]) % p)
+    raise ScanExhaustedError(f"no repeat within {scan_limit} steps")
 
 
 def test_fib_examples():
@@ -84,12 +120,45 @@ def test_modular_paths_match_iteration():
 
 
 def test_modular_paths_huge_index():
-    # cross-check the two independent fast routes at indices where
-    # iteration is out of the question
+    # fast doubling is the independent route at indices where iteration is
+    # out of the question
     n = 2**64 - 1
     for p in SMALL_PRIMES:
-        assert fib_mod(n, p) == rec_term(FIBONACCI, n, p)
-        assert lucas_mod(n, p) == rec_term(LUCAS_NUMBERS, n, p)
+        f, f_next = fib_pair_reference(n, p)
+        assert fib_mod(n, p) == rec_term(FIBONACCI, n, p) == f
+        assert lucas_mod(n, p) == rec_term(LUCAS_NUMBERS, n, p) == (2 * f_next - f) % p
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=2**70), st.sampled_from([2, 3, 5, 7, 101, 1000003]))
+@example(0, 2)
+@example(2**70, 1000003)
+def test_fib_lucas_mod_match_fast_doubling(n, p):
+    f, f_next = fib_pair_reference(n, p)
+    assert fib_mod(n, p) == f
+    assert lucas_mod(n, p) == (2 * f_next - f) % p
+
+
+@settings(max_examples=50)
+@given(st.integers(min_value=0, max_value=20000))
+def test_fib_lucas_match_fast_doubling(n):
+    f, f_next = fib_pair_reference(n)
+    assert fib(n) == f
+    assert lucas_num(n) == 2 * f_next - f
+
+
+def test_term_functions_reject_bad_arguments():
+    for call in (
+        lambda: fib(-1),
+        lambda: lucas_num(-1),
+        lambda: fib_mod(-1, 7),
+        lambda: lucas_mod(-1, 7),
+        lambda: fib_mod(3, 10),
+        lambda: lucas_mod(3, 1),
+        lambda: rec_term(PELL, 3, 9),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_linear_recurrence_parsing():
@@ -134,6 +203,24 @@ def test_rec_term_matches_iteration():
             assert rec_term(rec, n) == table[n], (rec, n)
             for p in SMALL_PRIMES:
                 assert rec_term(rec, n, p) == table[n] % p, (rec, n, p)
+
+
+coefficient = st.integers(min_value=-9, max_value=9)
+
+
+@settings(max_examples=60)
+@given(coefficient, coefficient, coefficient, coefficient)
+@example(3, -2, 0, 5)
+@example(-4, 7, 6, 0)
+@example(1, 1, 0, 0)
+@example(0, 0, 0, 0)
+def test_rec_term_matches_iteration_for_all_coefficients(a0, a1, u, v):
+    rec = LinearRecurrence(a0, a1, u, v)
+    table = iterate_rec(a0, a1, u, v, 301)
+    for n in range(301):
+        assert rec_term(rec, n) == table[n], n
+        for p in (2, 3, 7):
+            assert rec_term(rec, n, p) == table[n] % p, (n, p)
 
 
 def test_s_poly_examples():
@@ -232,6 +319,53 @@ def test_preperiod_zero_when_v_invertible(a0, a1, u, v, p):
 def test_scan_limit_exhaustion():
     with pytest.raises(ScanExhaustedError):
         period_mod(FIBONACCI, 13, scan_limit=3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_period_walk_matches_state_scan(p):
+    # every recurrence mod p, including v = 0 (preperiods 1 and 2) and u = v = 0
+    for a0, a1, u, v in itertools.product(range(p), repeat=4):
+        rec = LinearRecurrence(a0, a1, u, v)
+        pre, per, terms = scan_states_reference(rec, p, p * p + 1)
+        assert pre <= 2, rec
+        assert period_mod(rec, p) == PeriodInfo(pre, per), rec
+        assert term_table_mod(rec, p) == (PeriodInfo(pre, per), terms), rec
+        # the scan limit is met exactly by preperiod + period
+        assert period_mod(rec, p, scan_limit=pre + per) == (pre, per)
+        assert term_table_mod(rec, p, scan_limit=pre + per)[0] == (pre, per)
+        with pytest.raises(ScanExhaustedError):
+            period_mod(rec, p, scan_limit=pre + per - 1)
+        with pytest.raises(ScanExhaustedError):
+            term_table_mod(rec, p, scan_limit=pre + per - 1)
+
+
+def test_period_walk_keeps_no_visited_states():
+    # the period is 344568 state pairs; a visited-state dict peaked at 47 MB
+    tracemalloc.start()
+    try:
+        info = period_mod(LinearRecurrence(5, 3, 2, 4), 587)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info == PeriodInfo(0, 344568)
+    assert peak < 1_000_000
+
+
+def test_caches_are_bounded():
+    caches = [
+        value
+        for module in (lucaslp.modmath, lucaslp.sequences, lucaslp.lp, lucaslp.special)
+        for value in vars(module).values()
+        if hasattr(value, "cache_info")
+    ]
+    assert len(caches) >= 6
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
+    # distinct theorem-3 strides each add a rec_term entry
+    rec = LinearRecurrence(2, 1, 3, 2)
+    for a in range(1, 20001):
+        theorem3_condition(rec, AffineIndexMap(a, 1), 10007)
+    info = rec_term.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_alpha_examples():
