@@ -8,6 +8,16 @@ p**digit_bound and reports the smallest violation. Closed-form criteria
 and cross-validation compares both routes cell by cell instead of trusting
 either one.
 
+The property holds iff S(p*m + j) = S(m) * S(j) mod p for every m >= 1 and
+j < p (the digit-recursive form, McIntosh, Amer. Math. Monthly 99, 1992).
+For affine and power specs both sides are periodic in m: with S periodic
+from pre on with period per, the first violation, if any, lies below the
+certificate N* = p * (max(pre, 1) + per), never taken from a criterion.
+The oracle stops there, so a holding verdict with N* <= p**digit_bound
+holds for every n. For S(n) = A(a*n + b), per divides the period of A mod
+p and N* <= p**3, so digit_bound 3 already gives the all-n answer; F(42n+1)
+mod 211 reads 422 terms instead of 211**3.
+
 Every affine subsequence S(n) = A(a*n + b) of a second-order recurrence is
 one `AffineSequence`; a family table maps "fib", "lucas" and "general" to
 their recurrence and their criterion, a vanishing residue that must be 0
@@ -27,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from math import gcd
 from typing import Callable, NamedTuple
 
 from .modmath import Prime, digits_base_p, is_prime
@@ -121,6 +132,15 @@ class SequenceSpec:
     def residues(self, p, count: int) -> list[int]:
         return list(self.iter_residues(p, count))
 
+    def residue_period(self, p) -> PeriodInfo | None:
+        """(pre, per) such that S(n) and S(p*n + j), for each j < p, are
+        periodic mod p with period per from n >= pre on; None if unknown.
+
+        This is the oracle's certificate: it stops its scan at
+        p * (max(pre, 1) + per). Specs without one are scanned in full.
+        """
+        return None
+
     def describe(self) -> dict:
         """Flat, JSON-friendly description of the sequence, used in reports."""
         raise NotImplementedError
@@ -167,6 +187,13 @@ class AffineSequence(SequenceSpec):
     def iter_residues(self, p, count):
         return _affine_residues(self.rec, self.index_map, int(Prime(p)), count)
 
+    def residue_period(self, p):
+        # A(n) mod p repeats with period per from pre <= 2 on; every index
+        # a*n + b with n >= pre is past pre, and a step of per // gcd(a, per)
+        # in n moves a*n + b by a multiple of per
+        pre, per = _cached_term_table(self.rec, int(Prime(p)))[0]
+        return PeriodInfo(pre, per // gcd(self.index_map.a, per))
+
     def describe(self):
         d = {"variant": self.variant}
         if self.variant == "general-affine":
@@ -189,6 +216,11 @@ class PowerSequence(SequenceSpec):
         for _ in range(count):
             yield r
             r = r * b % p
+
+    def residue_period(self, p):
+        # 1, 0, 0, ... when p divides the base; otherwise base**(p-1) = 1
+        p = int(Prime(p))
+        return PeriodInfo(1, 1) if self.base % p == 0 else PeriodInfo(0, p - 1)
 
     def describe(self):
         return {"variant": self.variant, "base": self.base}
@@ -298,22 +330,34 @@ class LPVerdict:
 
 
 def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
-    """Scan every n < p**digit_bound for the digit-product congruence.
+    """Check the digit-product congruence for every n < p**digit_bound.
 
     Digit products are built up dynamically: the product for n reuses the
     product for n // p, so the whole scan is linear in the number of indices
     checked. The scan stops at the first (hence smallest) violating n.
     Single-digit n satisfy the congruence identically, so digit_bound must
     be at least 2 for the scan to say anything.
+
+    The congruence holds for every n iff S(p*m + j) = S(m) * S(j) for every
+    m >= 1 and j < p. When the spec gives a certificate (pre, per) (see
+    `SequenceSpec.residue_period`), both sides are periodic in m with period
+    per from m >= pre on, so the first violation, if any, lies below
+    N* = p * (max(pre, 1) + per), and the scan stops at min(p**digit_bound,
+    N*) with the same verdict and counterexample as the full scan. When
+    N* <= p**digit_bound a holding verdict holds for every n; for affine
+    specs N* <= p**3, so digit_bound 3 already decides them exactly.
     """
     p = Prime(p)
     if digit_bound < 2:
         raise ValueError(f"digit_bound must be >= 2, got {digit_bound}")
     pi = int(p)
-    count = pi**digit_bound
-    it = spec.iter_residues(p, count)
+    rows = pi ** (digit_bound - 1)  # values of m = n // p the scan reaches
+    certificate = spec.residue_period(p)
+    if certificate is not None:
+        rows = min(rows, max(certificate.preperiod, 1) + certificate.period)
+    it = spec.iter_residues(p, rows * pi)
     head = list(islice(it, pi))
-    prods = list(head)
+    prods = list(head)  # digit products of m = 0, 1, ...; the scan reads m < rows
     append = prods.append
     n = pi
     for lhs in it:
@@ -322,7 +366,8 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
             return LPVerdict(
                 False, p, digit_bound, Counterexample(n, lhs, digits_base_p(n, p).digits, rhs)
             )
-        append(rhs)
+        if n < rows:
+            append(rhs)
         n += 1
     return LPVerdict(True, p, digit_bound)
 
@@ -447,6 +492,22 @@ class _Family(NamedTuple):
     crossval: Callable  # (recs, primes, a_values, b_values, reading, digits) -> report
 
 
+# a sweep reads one recurrence at a time, for every cell of its grid
+@lru_cache(maxsize=16)
+def _shift(rec: LinearRecurrence) -> tuple[LinearRecurrence, int]:
+    """Theorem 3's s(k) and the stride-free part of its vanishing factor.
+
+    s(k) is the recurrence with seeds (1, u) and A's coefficients (u, v);
+    the factor is v * (v A0^2 + u A0 A1 - A1^2).
+    """
+    return LinearRecurrence(1, rec.u, rec.u, rec.v), rec.v * rec.seed_discriminant()
+
+
+def _theorem3_vanishing(rec: LinearRecurrence, a: int, p) -> int:
+    s_rec, factor = _shift(rec)
+    return factor * rec_term(s_rec, a - 1, p) % p
+
+
 # Every residue takes O(log a + log b) multiplications mod p. The criteria,
 # crossval entry points and sequence functions are looked up by module-level
 # name at call time, so rebinding one of them on the module (as
@@ -468,11 +529,7 @@ _FAMILIES = {
     ),
     "general": _Family(
         3, None, "general-affine", None, ("vanishing_factor_mod_p", "term_b_mod_p"),
-        # s(k) is the recurrence with seeds (1, u) and A's coefficients (u, v)
-        lambda rec, a, p: (
-            rec.v * rec_term(LinearRecurrence(1, rec.u, rec.u, rec.v), a - 1, p)
-            * rec.seed_discriminant() % p
-        ),
+        _theorem3_vanishing,
         lambda rec, b, p, reading: rec_term(rec, b, p),
         lambda rec, m, p, reading: theorem3_condition(rec, m, p),
         lambda recs, primes, a, b, reading, d: crossval_theorem3(recs, primes, a, b, d),

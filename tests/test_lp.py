@@ -7,6 +7,9 @@ that route so every verdict can be re-derived inside the tests.
 """
 
 import random
+import time
+import tracemalloc
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +97,31 @@ def naive_scan(spec, p, digit_bound):
         if vals[n] % p != prod % p:
             return n, vals[n] % p, prod % p
     return None
+
+
+def full_scan_reference(spec, p, digit_bound):
+    """The oracle without its period certificate: every n < p**digit_bound."""
+    p = Prime(p)
+    pi = int(p)
+    it = spec.iter_residues(p, pi**digit_bound)
+    head = list(islice(it, pi))
+    prods = list(head)
+    n = pi
+    for lhs in it:
+        rhs = prods[n // pi] * head[n % pi] % pi
+        if lhs != rhs:
+            return LPVerdict(
+                False, p, digit_bound, Counterexample(n, lhs, digits_base_p(n, p).digits, rhs)
+            )
+        prods.append(rhs)
+        n += 1
+    return LPVerdict(True, p, digit_bound)
+
+
+def certificate_bound(spec, p):
+    """N* = p * (max(pre, 1) + per), the oracle's scan length when p**digit_bound >= N*."""
+    pre, per = spec.residue_period(p)
+    return p * (max(pre, 1) + per)
 
 
 def assert_verdict_consistent(spec, p, verdict, digit_bound=3):
@@ -231,6 +259,91 @@ def test_bruteforce_scans_all_indices_below_bound():
     verdict = lp_bruteforce(TableSequence(tuple(broken)), p, 3)
     assert not verdict.holds
     assert verdict.counterexample.n == p**3 - 1
+
+
+@st.composite
+def certified_specs(draw):
+    """Affine and power specs, the ones whose scans stop at a certificate."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    digit_bound = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        coefficient = st.integers(-9, 9)
+        # v a multiple of p gives A mod p a positive preperiod
+        v = draw(st.sampled_from([0, p, -2 * p]) | coefficient)
+        rec = LinearRecurrence(draw(coefficient), draw(coefficient), draw(coefficient), v)
+        pre, per = period_mod(rec, p)
+        # strides that divide or are multiples of the period make S hold more
+        # often, with short certificates; offsets below 3 reach the preperiod
+        a = draw(
+            st.integers(1, 60)
+            | st.sampled_from([d for d in range(1, per + 1) if per % d == 0])
+            | st.integers(1, 3).map(lambda k: k * per)
+        )
+        b = draw(st.integers(0, 2) | st.integers(0, pre + per + 5))
+        spec = general_affine(rec, a, b)
+    else:
+        spec = PowerSequence(draw(st.sampled_from([0, p, -p, 3 * p]) | st.integers(-30, 30)))
+    return spec, p, digit_bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(certified_specs())
+def test_certified_scan_matches_full_scan(case):
+    spec, p, digit_bound = case
+    assert lp_bruteforce(spec, p, digit_bound) == full_scan_reference(spec, p, digit_bound)
+
+
+def test_residue_period_certificates():
+    assert fib_affine(42, 1).residue_period(211) == (0, 1)
+    assert fib_affine(5, 1).residue_period(5) == (0, 4)  # Fibonacci mod 5: period 20
+    assert lucas_affine(3, 0).residue_period(5) == (0, 4)  # Lucas mod 5: period 4
+    assert general_affine(LinearRecurrence(1, 1, 5, 5), 2, 0).residue_period(5) == (2, 1)
+    assert general_affine(LinearRecurrence(1, 4, 2, 5), 6, 3).residue_period(5) == (1, 2)
+    assert PowerSequence(3).residue_period(7) == (0, 6)
+    assert PowerSequence(-14).residue_period(7) == (1, 1)
+    assert PowerSequence(0).residue_period(2) == (1, 1)
+    for spec in (AperySequence(), OmegaSequence(), TableSequence((1,))):
+        assert spec.residue_period(5) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_digit_bound_3_is_exact_for_affine_specs(p):
+    # N* <= p**3 for every recurrence and stride, so a digit-3 scan stops at
+    # the certificate and its verdict covers every n
+    for data in product(range(p), repeat=4):
+        rec = LinearRecurrence(*data)
+        pre, per = period_mod(rec, p)
+        for a in range(1, per + 2):
+            assert certificate_bound(general_affine(rec, a, pre), p) <= p**3, (rec, a)
+
+
+def test_digit_bound_2_is_not_exact():
+    # 0, 1, 0, 1, ... mod 2: every n < 4 passes, and the first failure sits
+    # at N* - 1 = 5, the last index the certified scan reads
+    spec = general_affine(LinearRecurrence(0, 1, 0, 1), 1, 0)
+    assert certificate_bound(spec, 2) == 6
+    assert lp_bruteforce(spec, 2, 2).holds
+    expected = Counterexample(5, 1, (1, 0, 1), 0)
+    for digit_bound in (3, 4, 6):
+        verdict = lp_bruteforce(spec, 2, digit_bound)
+        assert verdict.counterexample == expected
+        assert verdict == full_scan_reference(spec, 2, digit_bound)
+
+
+def test_certified_scan_is_short_at_a_large_prime():
+    # the full scan would read 211**4, about 2e9 terms; the certificate stops
+    # it after 2 * 211
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        verdict = lp_bruteforce(fib_affine(42, 1), 211, 4)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == LPVerdict(True, 211, 4)
+    assert elapsed < 1.0
+    assert peak < 5_000_000
 
 
 def test_identically_zero_holds_vacuously():
@@ -517,7 +630,7 @@ def reference_cells(family, recs, reading):
             for a in SWEEP_A:
                 for b in SWEEP_B:
                     spec = general_affine(rec, a, b)
-                    verdict = lp_bruteforce(spec, p, 3)
+                    verdict = full_scan_reference(spec, p, 3)
                     zero = verdict.holds and sequence_is_zero_mod(spec, p, 3)
                     predicted = CRITERIA[family](rec, AffineIndexMap(a, b), p, reading)
                     cells.append(
