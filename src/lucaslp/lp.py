@@ -47,10 +47,11 @@ from .sequences import (
     PELL,
     LinearRecurrence,
     PeriodInfo,
+    _stride_terms,
     fib_mod,
     lucas_mod,
+    period_mod,
     rec_term,
-    term_table_mod,
 )
 from .special import apery_mod, omega_mod
 
@@ -146,29 +147,11 @@ class SequenceSpec:
         raise NotImplementedError
 
 
-# a table holds up to p*p terms; sweeps read one (rec, p) at a time
-@lru_cache(maxsize=4)
-def _cached_term_table(rec: LinearRecurrence, p: int):
-    info, terms = term_table_mod(rec, p)
-    return info, tuple(terms)
-
-
-def _fold(info: PeriodInfo, idx: int) -> int:
-    """Position in the term table of A(idx) mod p.
-
-    Indices past the preperiod wrap with the period, which is what makes
-    the table cover every index.
-    """
-    pre, per = info
-    return idx if idx < pre + per else pre + (idx - pre) % per
-
-
-def _affine_residues(rec: LinearRecurrence, index_map: AffineIndexMap, p: int, count: int):
-    info, terms = _cached_term_table(rec, p)
-    idx = index_map.b
-    for _ in range(count):
-        yield terms[_fold(info, idx)]
-        idx += index_map.a
+# a period walk takes up to p*p steps, and each entry is two ints; period_mod
+# is looked up at call time, so rebinding it on the module reaches this cache
+@lru_cache(maxsize=64)
+def _period(rec: LinearRecurrence, p: int) -> PeriodInfo:
+    return period_mod(rec, p)
 
 
 @dataclass(frozen=True)
@@ -185,13 +168,13 @@ class AffineSequence(SequenceSpec):
     variant: str
 
     def iter_residues(self, p, count):
-        return _affine_residues(self.rec, self.index_map, int(Prime(p)), count)
+        return _stride_terms(self.rec, self.index_map.a, self.index_map.b, int(Prime(p)), count)
 
     def residue_period(self, p):
         # A(n) mod p repeats with period per from pre <= 2 on; every index
         # a*n + b with n >= pre is past pre, and a step of per // gcd(a, per)
         # in n moves a*n + b by a multiple of per
-        pre, per = _cached_term_table(self.rec, int(Prime(p)))[0]
+        pre, per = _period(self.rec, int(Prime(p)))
         return PeriodInfo(pre, per // gcd(self.index_map.a, per))
 
     def describe(self):
@@ -579,7 +562,7 @@ def enumerate_valid_b(
     base_rec = _FAMILIES[family].rec or rec
     if base_rec is None:
         raise ValueError("family 'general' needs an explicit recurrence")
-    info, _ = _cached_term_table(base_rec, int(p))
+    info = _period(base_rec, int(p))
     cells = _sweep(
         family, (base_rec,), (p,), (a,), range(info.preperiod + info.period), digit_bound,
         AS_PROVED,
@@ -685,7 +668,7 @@ def _residue_class(info: PeriodInfo, a: int, b: int) -> tuple[int, int]:
     """
     if b < info.preperiod:
         return a, b
-    return a % info.period, _fold(info, b)
+    return a % info.period, info.preperiod + (b - info.preperiod) % info.period
 
 
 def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
@@ -703,7 +686,7 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
     cells = []
     for rec in recs:
         for p in primes:
-            info, _ = _cached_term_table(rec, int(p))
+            info = _period(rec, int(p))
             for a in a_values:
                 for b in b_values:
                     index_map = AffineIndexMap(a, b)

@@ -31,9 +31,8 @@ from .modmath import Prime, _pascal_mod, binomial_exact
 
 __all__ = ["omega", "omega_mod", "apery", "apery_mod"]
 
-# Prefix tables for the convolution recurrence, grown in place.
+# Prefix table for the convolution recurrence, grown in place.
 _omega_table: list[int] = [1]
-_omega_mod_tables: dict[int, list[int]] = {}
 
 
 def _digit_box(n: int, p: int, width, cell):
@@ -72,12 +71,18 @@ def omega(n: int) -> int:
     return table[n]
 
 
+@lru_cache(maxsize=4)
+def _omega_mod_table(p: int) -> list[int]:
+    # w(0), w(1), ... mod p, grown in place by omega_mod
+    return [1 % p]
+
+
 def omega_mod(n: int, p) -> int:
     """w(n) mod p from the same convolution, summed over the digit box of n."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     p = int(Prime(p))
-    table = _omega_mod_tables.setdefault(p, [1 % p])
+    table = _omega_mod_table(p)
     pascal = _pascal_mod(p)
 
     def full(d):

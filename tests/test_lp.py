@@ -149,18 +149,32 @@ def test_affine_index_map_validation():
 
 
 def test_affine_residues_match_direct_terms():
+    # the reference is a plain mod-p loop over A, not the matrix step under test
     rng = random.Random(5)
-    recs = [FIBONACCI, LUCAS_NUMBERS, PELL]
+    recs = [FIBONACCI, LUCAS_NUMBERS, PELL, *PREPERIOD_RECS]
+    recs += [LinearRecurrence(1, 0, 1, 2), LinearRecurrence(1, 1, 2, 2)]  # p = 2 divides v
     recs += [LinearRecurrence(*(rng.randint(-5, 5) for _ in range(4))) for _ in range(4)]
+    count = 60
+    preperiods = set()
     for rec in recs:
-        terms = [rec.a0, rec.a1]
-        while len(terms) < 8 * 60 + 8:
-            terms.append(rec.u * terms[-1] + rec.v * terms[-2])
-        for p in (2, 3, 7):
-            for a, b in ((1, 0), (3, 2), (8, 7)):
+        for p in (2, 3, 5, 7):
+            pre, per = period_mod(rec, p)
+            preperiods.add(pre)
+            cases = [
+                (1, 0), (3, 2), (8, 7),
+                (per, 1), (3 * per, 0), (per + 1, 2),  # strides at and past the period
+                (p * p + 1, 3), (p**3 + 2, 1),  # strides past p*p
+                (1, pre + per), (2, 3 * (pre + per) + 1),  # offsets past pre + per
+            ]
+            terms = [rec.a0 % p, rec.a1 % p]
+            while len(terms) < max(a * (count - 1) + b for a, b in cases) + 1:
+                terms.append((rec.u * terms[-1] + rec.v * terms[-2]) % p)
+            for a, b in cases:
                 spec = general_affine(rec, a, b)
-                got = spec.residues(p, 60)
-                assert got == [terms[a * n + b] % p for n in range(60)], (rec, p, a, b)
+                want = [terms[a * n + b] for n in range(count)]
+                assert spec.residues(p, count) == want, (rec, p, a, b)
+                assert list(spec.iter_residues(p, count)) == want, (rec, p, a, b)
+    assert preperiods == {0, 1, 2}
 
 
 def test_spec_describe():
@@ -344,6 +358,20 @@ def test_certified_scan_is_short_at_a_large_prime():
     assert verdict == LPVerdict(True, 211, 4)
     assert elapsed < 1.0
     assert peak < 5_000_000
+
+
+def test_affine_scan_holds_no_term_table():
+    # A(n) mod 587 has period 344568; the scan fails at n = 587 and must not
+    # hold the terms of that period (a table of them peaked at 11 MB)
+    spec = general_affine(LinearRecurrence(5, 3, 2, 4), 1, 0)
+    tracemalloc.start()
+    try:
+        verdict = lp_bruteforce(spec, 587, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.counterexample.n == 587
+    assert peak < 1_000_000
 
 
 def test_identically_zero_holds_vacuously():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lucaslp.lp import AperySequence, OmegaSequence, TableSequence, lp_bruteforce
 from lucaslp.modmath import binomial_mod_lucas, primes_upto
-from lucaslp.special import apery, apery_mod, omega, omega_mod
+from lucaslp.special import _omega_mod_table, apery, apery_mod, omega, omega_mod
 
 OMEGA_FIRST = [
     1,
@@ -104,6 +104,13 @@ def test_omega_mod_matches_exact():
             assert omega_mod(n, p) == omega(n) % p, (n, p)
     with pytest.raises(ValueError):
         omega_mod(3, 8)
+
+
+def test_omega_mod_tables_are_bounded():
+    primes = (17, 19, 23, 29, 31)
+    for p in primes + primes[:1]:  # the first table is evicted, then rebuilt
+        assert [omega_mod(n, p) for n in range(30)] == [omega(n) % p for n in range(30)], p
+    assert _omega_mod_table.cache_info().currsize <= 4
 
 
 def test_apery_first_values():
