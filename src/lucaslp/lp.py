@@ -147,8 +147,9 @@ class SequenceSpec:
         raise NotImplementedError
 
 
-# a period walk takes up to p*p steps, and each entry is two ints; period_mod
-# is looked up at call time, so rebinding it on the module reaches this cache
+# period_mod factors p - 1 and p + 1, which dominates at large p, and each
+# entry is two ints; period_mod is looked up at call time, so rebinding it on
+# the module reaches this cache
 @lru_cache(maxsize=64)
 def _period(rec: LinearRecurrence, p: int) -> PeriodInfo:
     return period_mod(rec, p)

@@ -1,26 +1,34 @@
 """Fibonacci, Lucas, and general second-order recurrences, exact and mod p.
 
 Every term by index, exact or mod p, is a power of the 2x2 companion matrix
-[[u, v], [1, 0]] (`rec_term`); Fibonacci and Lucas numbers are the
+M = [[u, v], [1, 0]] (`rec_term`); Fibonacci and Lucas numbers are the
 recurrences FIBONACCI and LUCAS_NUMBERS.
 
 Residue sequences mod p are ultimately periodic in the state pair
-(A(n), A(n+1)), so a finite term table plus (preperiod, period) determines
-every term. The preperiod is at most 2: the step (x, y) -> (y, uy + vx) is
-a bijection when p does not divide v; when it does, every state from n = 1
-on is (x, ux), and x -> ux is either a bijection or sends everything to 0.
-So state 2 is on its cycle, and the period is its return time, found
-without storing the states visited.
+(A(n), A(n+1)). The preperiod is at most 2: the step (x, y) -> (y, uy + vx)
+is a bijection when p does not divide v; when it does, every state from
+n = 1 on is (x, ux), and x -> ux is either a bijection or sends everything
+to 0. So state 2 is on its cycle, and the period is the least d with
+M^d s2 = s2. Neither the period nor the rank of apparition is found by a
+walk: every element of GL2(F_p) has an order dividing N = p(p^2 - 1)
+(Lidl and Niederreiter, Finite Fields, ch. 8), and when p divides v the
+cycle x -> ux has a length dividing p - 1. So N is a multiple of the
+period, and of the rank of apparition, which divides the Fibonacci period
+(Wall, Amer. Math. Monthly 67, 1960). Both answers are the least divisor
+of N that passes a test, found by dividing out one prime of N at a time
+(`_least`). That takes O(log p) matrix powers once p - 1 and p + 1 are
+factored, by trial division and Pollard-Brent rho under a step budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
+from math import gcd
 from typing import NamedTuple
 
-from .modmath import Prime, binomial_exact
+from .modmath import Prime, binomial_exact, is_prime
 
 __all__ = [
     "ScanExhaustedError",
@@ -130,13 +138,7 @@ def _mat_pow(m, e: int, p: int | None):
 
 # the largest working set measured is about 1400 terms (a theorem-3 grid)
 @lru_cache(maxsize=4096)
-def rec_term(rec: LinearRecurrence, n: int, modulus=None) -> int:
-    """A(n) for the recurrence, exact (modulus None) or reduced mod a prime.
-
-    Both paths power the companion matrix [[u, v], [1, 0]], so a term costs
-    O(log n) multiplications. Results are memoized, which makes dense
-    sweeps over overlapping indices effectively table lookups.
-    """
+def _rec_term(rec: LinearRecurrence, n: int, modulus) -> int:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     p = None if modulus is None else int(Prime(modulus))
@@ -144,6 +146,25 @@ def rec_term(rec: LinearRecurrence, n: int, modulus=None) -> int:
     # M^n (A1, A0)^T = (A(n+1), A(n))^T, so A(n) is the bottom row applied
     term = m[2] * rec.a1 + m[3] * rec.a0
     return term if p is None else term % p
+
+
+# exact terms grow with n, so only those up to this index are memoized: with
+# coefficients up to 5, 4096 of them hold about 1.2 MB, where 4096
+# Fibonacci numbers near n = 10^6 would hold 350 MB
+_EXACT_MEMO_MAX_N = 512
+
+
+def rec_term(rec: LinearRecurrence, n: int, modulus=None) -> int:
+    """A(n) for the recurrence, exact (modulus None) or reduced mod a prime.
+
+    Both paths power the companion matrix [[u, v], [1, 0]], so a term costs
+    O(log n) multiplications. Residues and exact terms with small n are
+    memoized, which makes dense sweeps over overlapping indices effectively
+    table lookups.
+    """
+    if modulus is None and n > _EXACT_MEMO_MAX_N:
+        return _rec_term.__wrapped__(rec, n, None)
+    return _rec_term(rec, n, modulus)
 
 
 def _stride_terms(rec: LinearRecurrence, a: int, b: int, p: int, count: int):
@@ -184,6 +205,98 @@ def t_poly(k: int, u: int, v: int) -> int:
     )
 
 
+# trial division covers the factors below this bound; rho finds the rest
+_TRIAL_BOUND = 1024
+# Pollard-Brent steps allowed for factoring p - 1 and p + 1 together, about
+# a second at 0.5 us a step. A cofactor of two 40-bit primes took 1.6 million
+# (p - 1 for p = 1228559431195504946317379); some of the hardest below psi_13,
+# two 41-bit primes, need more, and those p are refused
+_FACTOR_STEPS = 1 << 21
+
+
+def _spend(budget: list[int], steps: int, n: int) -> None:
+    budget[0] -= steps
+    if budget[0] < 0:
+        raise ScanExhaustedError(f"no factor of {n} within {_FACTOR_STEPS} Pollard-Brent steps")
+
+
+def _rho(n: int, budget: list[int]) -> int:
+    """A proper factor of the odd composite n (Brent, BIT 20, 1980).
+
+    Differences of the iterates are multiplied together and tested with one
+    gcd per batch. budget[0] is the number of steps left; ScanExhaustedError
+    is raised before a run of steps that would overdraw it.
+    """
+    for c in count(1):
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            _spend(budget, r, n)
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                batch = min(128, r - k)
+                _spend(budget, batch, n)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int, budget: list[int]) -> set[int]:
+    """The distinct primes dividing n >= 1."""
+    primes = set()
+    for q in (2, *range(3, _TRIAL_BOUND, 2)):
+        if q * q > n:
+            break
+        if n % q == 0:
+            primes.add(q)
+            while n % q == 0:
+                n //= q
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            primes.add(m)
+        else:
+            d = _rho(m, budget)
+            pending += (d, m // d)
+    return primes
+
+
+def _least(n: int, primes, holds) -> int:
+    """The least divisor d of n with holds(d), given that holds(n) and that
+    the d with holds(d) are the multiples of one divisor of n; primes must
+    include every prime dividing n."""
+    for q in primes:
+        while n % q == 0 and holds(n // q):
+            n //= q
+    return n
+
+
+def _least_order(p: int, holds) -> int:
+    # the least d dividing N = p(p^2 - 1), the exponent of GL2(F_p), with
+    # holds(d) (see the module docstring)
+    budget = [_FACTOR_STEPS]
+    try:
+        primes = {p} | _prime_factors(p - 1, budget) | _prime_factors(p + 1, budget)
+    except ScanExhaustedError as exc:
+        raise ScanExhaustedError(f"cannot factor p - 1 and p + 1 for p = {p}: {exc}") from None
+    return _least(p * (p * p - 1), sorted(primes), holds)
+
+
 def _states(rec: LinearRecurrence, p: int):
     # the state pairs (A(n), A(n+1)) mod p for n = 0, 1, 2, ...
     x, y = rec.a0 % p, rec.a1 % p
@@ -193,36 +306,33 @@ def _states(rec: LinearRecurrence, p: int):
         x, y = y, (u * y + v * x) % p
 
 
-def _cycle(rec: LinearRecurrence, p: int, scan_limit: int | None) -> PeriodInfo:
-    # State 2 lies on its cycle (see the module docstring), so the period is
-    # its return time, and state i is on the cycle iff it equals the cycle
-    # state 2 - i steps before state 2.
-    if scan_limit is None:
-        scan_limit = p * p + 1
-    states = _states(rec, p)
-    s0, s1, s2 = next(states), next(states), next(states)
-    two_back = one_back = s2
-    for period, state in enumerate(states, 1):
-        if state == s2 or period >= scan_limit:
-            break
-        two_back, one_back = one_back, state
-    preperiod = 0 if s0 == two_back else 1 if s1 == one_back else 2
-    if state != s2 or preperiod + period > scan_limit:
+def period_mod(rec: LinearRecurrence, p, scan_limit: int | None = None) -> PeriodInfo:
+    """Minimal (preperiod, period) of A(n) mod p as a state-pair sequence.
+
+    The period is the least d dividing p(p^2 - 1) with M^d s2 = s2 (see the
+    module docstring), and the preperiod the least i <= 2 with
+    M^period s_i = s_i, where s_i is the state at n = i. Without a scan
+    limit every prime is answered; ScanExhaustedError is raised exactly
+    when preperiod + period exceeds an explicit limit, or when p - 1 and
+    p + 1 do not factor within the step budget.
+    """
+    p = int(Prime(p))
+    u, v = rec.u % p, rec.v % p
+    states = list(islice(_states(rec, p), 3))
+
+    def returns(d, state):
+        # M^d (A(i+1), A(i)) = (A(i+1+d), A(i+d))
+        m0, m1, m2, m3 = _mat_pow((u, v, 1, 0), d, p)
+        x, y = state
+        return (m0 * y + m1 * x) % p == y and (m2 * y + m3 * x) % p == x
+
+    period = _least_order(p, lambda d: returns(d, states[2]))
+    preperiod = next(i for i, state in enumerate(states) if returns(period, state))
+    if scan_limit is not None and preperiod + period > scan_limit:
         raise ScanExhaustedError(
             f"state pair of {rec.as_string()} mod {p} did not repeat within {scan_limit} steps"
         )
     return PeriodInfo(preperiod, period)
-
-
-def period_mod(rec: LinearRecurrence, p, scan_limit: int | None = None) -> PeriodInfo:
-    """Minimal (preperiod, period) of A(n) mod p as a state-pair sequence.
-
-    The walk keeps O(1) states. The state space has p**2 elements, so the
-    default scan limit p**2 + 1 always suffices; ScanExhaustedError is
-    raised exactly when preperiod + period exceeds an explicit limit.
-    """
-    p = int(Prime(p))
-    return _cycle(rec, p, scan_limit)
 
 
 def term_table_mod(rec: LinearRecurrence, p, scan_limit: int | None = None):
@@ -231,20 +341,20 @@ def term_table_mod(rec: LinearRecurrence, p, scan_limit: int | None = None):
     Together these determine A(n) mod p for every n: indices past the
     preperiod fold down with period per.
     """
-    p = int(Prime(p))
-    info = _cycle(rec, p, scan_limit)
-    return info, [x for x, _ in islice(_states(rec, p), info.preperiod + info.period)]
+    info = period_mod(rec, p, scan_limit)
+    return info, [x for x, _ in islice(_states(rec, int(p)), info.preperiod + info.period)]
 
 
 def alpha(p, scan_limit: int | None = None) -> int:
-    """Rank of apparition: least n >= 1 with F(n) divisible by p."""
+    """Rank of apparition: least n >= 1 with F(n) divisible by p.
+
+    The zeros of F mod p are the multiples of the rank, which divides the
+    period of F mod p and so p(p^2 - 1). ScanExhaustedError is raised when
+    the rank exceeds an explicit scan limit, or when p - 1 and p + 1 do not
+    factor within the step budget.
+    """
     p = int(Prime(p))
-    if scan_limit is None:
-        # the rank divides the Pisano period, which is at most 6p
-        scan_limit = 6 * p + 1
-    a, b = 0, 1 % p
-    for n in range(1, scan_limit + 1):
-        a, b = b, (a + b) % p
-        if a == 0:
-            return n
-    raise ScanExhaustedError(f"no zero of F mod {p} within {scan_limit} terms")
+    rank = _least_order(p, lambda d: rec_term(FIBONACCI, d, p) == 0)
+    if scan_limit is not None and rank > scan_limit:
+        raise ScanExhaustedError(f"no zero of F mod {p} within {scan_limit} terms")
+    return rank

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import lucaslp.sequences
 from lucaslp.cli import CsvUnrepresentableError, Report, format_report, run_cli
 
 
@@ -227,6 +228,27 @@ def test_period_subcommand(capsys):
     }
     code, report = run_json(capsys, "period", "--prime", "5", "--rec", "1,1,1,0")
     assert report["verdicts"][0]["period"] == 1
+
+
+def test_alpha_and_period_at_a_large_prime(capsys):
+    # p - 1 is 2 times two 40-bit primes; a walk would take about p steps
+    code, report = run_json(capsys, "alpha", "--prime", "1228559431195504946317379")
+    assert code == 0
+    assert report["verdicts"][0]["alpha"] == 1228559431195504946317378
+    code, report = run_json(
+        capsys, "period", "--rec", "5,3,2,4", "--prime", "1228559431195504946317379"
+    )
+    assert code == 0
+    assert report["verdicts"][0]["preperiod"] == 0
+
+
+def test_factoring_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(lucaslp.sequences, "_FACTOR_STEPS", 64)
+    for argv in (("alpha",), ("period", "--rec", "5,3,2,4")):
+        code, out, err = run(capsys, *argv, "--prime", "1228559431195504946317379")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot factor p - 1 and p + 1")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_identity_subcommand(capsys):

@@ -360,6 +360,15 @@ def test_certified_scan_is_short_at_a_large_prime():
     assert peak < 5_000_000
 
 
+def test_early_failure_at_a_large_prime_is_fast():
+    # F(n + 1) fails at n = p; the period 2000008 of F mod p once cost a walk
+    # of that many steps (0.68 s) before the scan read a term
+    start = time.perf_counter()
+    verdict = lp_bruteforce(fib_affine(1, 1), 1000003, 2)
+    assert time.perf_counter() - start < 0.5
+    assert verdict.counterexample.n == 1000003
+
+
 def test_affine_scan_holds_no_term_table():
     # A(n) mod 587 has period 344568; the scan fails at n = 587 and must not
     # hold the terms of that period (a table of them peaked at 11 MB)

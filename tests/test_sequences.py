@@ -1,23 +1,28 @@
 """Recurrence terms, shift coefficients, and period machinery.
 
-Oracles here are plain iterated recurrences, Fibonacci fast doubling and a
-first-occurrence scan of the state pairs, all built inside the tests, so
-the fast paths (matrix powers, the O(1)-memory period walk, period folding)
+Oracles here are plain iterated recurrences, Fibonacci fast doubling, a
+first-occurrence scan of the state pairs, and the walks that once computed
+periods and the rank of apparition, all built inside the tests, so the fast
+paths (matrix powers, periods from the exponent of GL2(F_p), period folding)
 are checked against an independent route rather than against themselves.
+At primes too large to walk, each answer is checked by its certificate.
 """
 
 import itertools
 import math
 import random
+import time
 import tracemalloc
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lucaslp
+from lucaslp import sequences
 from lucaslp.lp import AffineIndexMap, theorem3_condition
-from lucaslp.modmath import primes_upto
+from lucaslp.modmath import is_prime, primes_upto
 from lucaslp.sequences import (
     FIBONACCI,
     LUCAS_NUMBERS,
@@ -80,6 +85,38 @@ def scan_states_reference(rec, p, scan_limit):
         terms.append(state[0])
         state = (state[1], (rec.u * state[1] + rec.v * state[0]) % p)
     raise ScanExhaustedError(f"no repeat within {scan_limit} steps")
+
+
+def cycle_reference(rec, p):
+    """(preperiod, period) by walking from state 2 until it returns.
+
+    State 2 lies on its cycle, so the period is its return time, and state
+    i is on the cycle iff it equals the cycle state 2 - i steps before
+    state 2. Up to p**2 steps and O(1) memory.
+    """
+    u, v = rec.u % p, rec.v % p
+    x, y = rec.a0 % p, rec.a1 % p
+    s0, s1 = (x, y), (y, (u * y + v * x) % p)
+    s2 = (s1[1], (u * s1[1] + v * y) % p)
+    two_back = one_back = state = s2
+    period = 0
+    while True:
+        period += 1
+        state = (state[1], (u * state[1] + v * state[0]) % p)
+        if state == s2:
+            break
+        two_back, one_back = one_back, state
+    preperiod = 0 if s0 == two_back else 1 if s1 == one_back else 2
+    return preperiod, period
+
+
+def alpha_reference(p):
+    """Least n >= 1 with F(n) = 0 mod p, by iterating F mod p."""
+    a, b, n = 0, 1 % p, 0
+    while True:
+        a, b, n = b, (a + b) % p, n + 1
+        if a == 0:
+            return n
 
 
 def test_fib_examples():
@@ -364,8 +401,21 @@ def test_caches_are_bounded():
     rec = LinearRecurrence(2, 1, 3, 2)
     for a in range(1, 20001):
         theorem3_condition(rec, AffineIndexMap(a, 1), 10007)
-    info = rec_term.cache_info()
+    info = sequences._rec_term.cache_info()
     assert info.currsize <= info.maxsize
+
+
+def test_exact_terms_at_large_indices_are_not_memoized():
+    # a cache bounded by count held 1.87 MB after these 100 calls
+    tracemalloc.start()
+    try:
+        for i in range(100):
+            fib(200000 + i)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000
+    assert fib(200000) % 1000003 == fib_mod(200000, 1000003)
 
 
 def test_alpha_examples():
@@ -391,3 +441,87 @@ def test_fib_gcd_identity_sample():
     for m in range(1, 40):
         for n in range(1, 40):
             assert math.gcd(fib(m), fib(n)) == fib(math.gcd(m, n))
+
+
+PRIMES_BELOW_2000 = [int(p) for p in primes_upto(1999)]
+
+
+def test_alpha_and_fibonacci_period_match_walks_below_2000():
+    for p in PRIMES_BELOW_2000:
+        k = alpha_reference(p)
+        assert alpha(p) == k, p
+        assert alpha(p, scan_limit=k) == k
+        with pytest.raises(ScanExhaustedError):
+            alpha(p, scan_limit=k - 1)
+        assert period_mod(FIBONACCI, p) == cycle_reference(FIBONACCI, p), p
+
+
+any_int = st.integers(min_value=-10**30, max_value=10**30)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(PRIMES_BELOW_2000), any_int, any_int, any_int, any_int)
+@example(1999, 3, 5, 2 * 1999, 7)  # u = 0 mod p
+@example(1997, 1, 2, 3, -1997)  # v = 0 mod p: preperiod up to 2
+@example(1993, 4, 0, 5, 0)  # v = 0 and A(1) = 0: preperiod 1, period 1
+@example(2, 1, 1, 0, 0)  # u = v = 0
+@example(1987, 0, 0, 5, 3)  # the zero sequence
+def test_period_matches_walk_below_2000(p, a0, a1, u, v):
+    rec = LinearRecurrence(a0, a1, u, v)
+    pre, per = cycle_reference(rec, p)
+    assert period_mod(rec, p) == PeriodInfo(pre, per)
+    assert period_mod(rec, p, scan_limit=pre + per) == (pre, per)
+    with pytest.raises(ScanExhaustedError):
+        period_mod(rec, p, scan_limit=pre + per - 1)
+
+
+# p - 1 for the second is 2 times two 40-bit primes
+LARGE_PRIMES = [1000000000039, 1228559431195504946317379]
+
+
+@cache
+def group_exponent_primes(p):
+    """The primes of p(p^2 - 1), each checked prime and jointly complete."""
+    primes = {p}
+    for n in (p - 1, p + 1):
+        found = sequences._prime_factors(n, [sequences._FACTOR_STEPS])
+        assert all(is_prime(q) for q in found)
+        for q in found:
+            while n % q == 0:
+                n //= q
+        assert n == 1
+        primes |= found
+    return primes
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_alpha_at_large_primes_is_certified(p):
+    start = time.perf_counter()
+    k = alpha(p)
+    assert time.perf_counter() - start < 2.0
+    # F(n) = 0 mod p exactly for the multiples of the rank, so the rank
+    # divides k and no k // q
+    assert p * (p * p - 1) % k == 0
+    assert fib_mod(k, p) == 0
+    for q in group_exponent_primes(p):
+        if k % q == 0:
+            assert fib_mod(k // q, p) != 0, q
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_period_at_large_primes_is_certified(p):
+    rec = LinearRecurrence(5, 3, 2, 4)
+    start = time.perf_counter()
+    pre, per = period_mod(rec, p)
+    assert time.perf_counter() - start < 2.0
+
+    def state(n):
+        return rec_term(rec, n, p), rec_term(rec, n + 1, p)
+
+    # v = 4 is a unit, so the state pairs are purely periodic
+    assert pre == 0
+    assert p * (p * p - 1) % per == 0
+    assert state(2 + per) == state(2) and state(per) == state(0)
+    for q in group_exponent_primes(p):
+        if per % q == 0:
+            assert state(2 + per // q) != state(2), q
