@@ -138,14 +138,18 @@ def binomial_exact(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=4)  # each table holds p*p/2 residues; keep a few primes only
-def _pascal_mod(p: int) -> tuple[tuple[int, ...], ...]:
-    # C(i, j) mod p for 0 <= j <= i < p
-    rows = [[1]]
+@lru_cache(maxsize=4)  # each pair holds 2p residues; keep a few primes only
+def _factorials_mod(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # (i! mod p, (i!)^-1 mod p) for 0 <= i < p, so C(d, k) mod p for digits
+    # k <= d < p is fact[d] * inv_fact[k] * inv_fact[d - k]
+    fact = [1] * p
     for i in range(1, p):
-        prev = rows[-1]
-        rows.append([1] + [(prev[j - 1] + prev[j]) % p for j in range(1, i)] + [1])
-    return tuple(tuple(row) for row in rows)
+        fact[i] = fact[i - 1] * i % p
+    inv_fact = [1] * p
+    inv_fact[-1] = pow(fact[-1], p - 2, p)
+    for i in range(p - 1, 1, -1):
+        inv_fact[i - 1] = inv_fact[i] * i % p
+    return tuple(fact), tuple(inv_fact)
 
 
 def binomial_mod_lucas(n: int, m: int, p) -> int:
@@ -153,14 +157,12 @@ def binomial_mod_lucas(n: int, m: int, p) -> int:
     p = int(Prime(p))
     if n < 0 or m < 0:
         raise ValueError(f"binomial arguments must be >= 0, got ({n}, {m})")
-    table = _pascal_mod(p)
+    fact, inv_fact = _factorials_mod(p)
     r = 1
     while n or m:
-        nd = n % p
-        md = m % p
+        n, nd = divmod(n, p)
+        m, md = divmod(m, p)
         if md > nd:
             return 0
-        r = r * table[nd][md] % p
-        n //= p
-        m //= p
+        r = r * fact[nd] * inv_fact[md] * inv_fact[nd - md] % p
     return r

@@ -13,21 +13,28 @@ are used to test. With n_i the base-p digits of n:
   unless k_i <= p-1-n_i in every digit. So only the box
   k_i <= min(n_i, p-1-n_i) is summed, ∏(min(n_i, p-1-n_i)+1) terms.
 - omega, whose convolution term for w(m) carries C(m, k)^2: only the k with
-  k_i <= m_i in every digit are summed, ∏(m_i+1) terms.
+  k_i <= m_i in every digit are summed. They are summed one digit group at
+  a time: with m = p*h + m0, the terms whose k has a nonzero upper part
+  k_h form one p-vector per group of p indices, built from the digit box
+  of h (∏(h_i+1) - 1 table slices), and each index adds the rest with one
+  dot product of length m0+1. This regroups the defining sum by
+  distributivity; it never forms a product of earlier terms.
 
-On the box both binomials are products of digit binomials, read from one
-Pascal table mod p. The box is walked lazily, so memory stays O(p * digits)
-for any n. Time does not: an index whose digits sit near p/2 still costs
-time exponential in its digit count.
+On the box every binomial is a product of digit binomials, each
+d!/(k!(d-k)!) read from factorial and inverse-factorial tables mod p, which
+hold O(p) residues. The Apery box is walked lazily, so memory stays
+O(p * digits) for any n. Time does not: an index whose digits sit near p/2
+still costs time exponential in its digit count.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import prod
+from operator import add, mod, mul
 
-from .modmath import Prime, _pascal_mod, binomial_exact
+from .modmath import Prime, _factorials_mod, binomial_exact
 
 __all__ = ["omega", "omega_mod", "apery", "apery_mod"]
 
@@ -71,40 +78,89 @@ def omega(n: int) -> int:
     return table[n]
 
 
+class _OmegaResidues:
+    """w(0), w(1), ... mod p, grown in place, and the current group's vector.
+
+    Write m = p*h + m0. By Lucas's theorem C(m, k) = C(h, k_h) C(m0, k0)
+    mod p for k = p*k_h + k0, so (-1)^k C(m, k)^2 w(m-k) splits into
+    c(k_h) s(k0) w(p*(h-k_h) + m0-k0), with c(t) = (-1)^t C(h, t)^2 and
+    s(t) = (-1)^t C(m0, t)^2 ((-1)^k is the product of the two signs for
+    odd p, as p*k_h has the parity of k_h; for p = 2 every sign is 1).
+    With C(m0, k0) = m0! / (k0! (m0-k0)!), the convolution gives
+
+        w(m) = -m0!^2 * sum over j <= m0 of signed[m0 - j] * group[j],
+
+    where signed[t] = (-1)^t / t!^2 and, for j = 0..p-1,
+
+        group[j] = (sum over k_h != 0 of c(k_h) w(p*(h-k_h) + j)
+                    + w(p*h + j) once it is known) / j!^2.
+
+    The k_h != 0 part reads w only below p*h: it is built once per group,
+    from the digit box of h, one p-slice of the table per box term. The
+    k_h = 0 part is added as each w(p*h + j) is found. So each index costs
+    one dot product, and the table only grows up to the largest n asked.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.fact, self.inv_fact = _factorials_mod(p)
+        self.signed = [
+            (-f * f if t % 2 else f * f) % p for t, f in enumerate(self.inv_fact)
+        ]
+        self.table = [1 % p]
+        self.group = [1 % p] + [0] * (p - 1)  # group 0, holding w(0)
+
+    def _start_group(self, h: int) -> None:
+        p, table, fact, inv_fact = self.p, self.table, self.fact, self.inv_fact
+
+        def full(d):
+            return d
+
+        # (-1)^k_h is the product of the (-1)^(k_i) over its digits for odd
+        # p, as every p^i is odd
+        def coefficient(d, k, place):
+            c = fact[d] * inv_fact[k] * inv_fact[d - k]
+            return -c * c if k % 2 else c * c
+
+        def complement(d, k, place):
+            return (d - k) * place * p
+
+        terms = zip(
+            map(prod, _digit_box(h, p, full, coefficient)),
+            map(sum, _digit_box(h, p, full, complement)),
+        )
+        next(terms)  # k_h = 0 reads the current group
+        acc = [0] * p
+        for c, start in terms:
+            acc = list(map(add, acc, map(mul, repeat(c % p), table[start:start + p])))
+        scale = map(mul, inv_fact, inv_fact)
+        self.group = list(map(mod, map(mul, acc, scale), repeat(p)))
+
+    def upto(self, n: int) -> list[int]:
+        p, table, fact, signed = self.p, self.table, self.fact, self.signed
+        while len(table) <= n:
+            h, m0 = divmod(len(table), p)
+            if m0 == 0:
+                self._start_group(h)
+            group = self.group
+            conv = sum(map(mul, group, signed[m0::-1])) % p
+            w = -fact[m0] * fact[m0] * conv % p
+            table.append(w)
+            group[m0] = (group[m0] + w * self.inv_fact[m0] ** 2) % p
+        return table
+
+
 @lru_cache(maxsize=4)
-def _omega_mod_table(p: int) -> list[int]:
-    # w(0), w(1), ... mod p, grown in place by omega_mod
-    return [1 % p]
+def _omega_mod_residues(p: int) -> _OmegaResidues:
+    return _OmegaResidues(p)
 
 
 def omega_mod(n: int, p) -> int:
-    """w(n) mod p from the same convolution, summed over the digit box of n."""
+    """w(n) mod p from the same convolution, summed one digit group at a time."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     p = int(Prime(p))
-    table = _omega_mod_table(p)
-    pascal = _pascal_mod(p)
-
-    def full(d):
-        return d
-
-    # (-1)^k is the product of the (-1)^(k_i) for odd p, as every p^i is
-    # odd; for p = 2 every sign is 1 mod p.
-    def signed(d, k, place):
-        return (-1) ** k * pascal[d][k] ** 2
-
-    def complement(d, k, place):
-        return (d - k) * place
-
-    while len(table) <= n:
-        m = len(table)
-        terms = zip(
-            map(prod, _digit_box(m, p, full, signed)),
-            map(sum, _digit_box(m, p, full, complement)),
-        )
-        next(terms)  # k = 0 is w(m) itself
-        table.append(-sum(c * table[j] for c, j in terms) % p)
-    return table[n]
+    return _omega_mod_residues(p).upto(n)[n]
 
 
 @lru_cache(maxsize=256)
@@ -123,12 +179,13 @@ def apery_mod(n: int, p) -> int:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     p = int(Prime(p))
-    pascal = _pascal_mod(p)
+    fact, inv_fact = _factorials_mod(p)
 
     def carry_free(d):
         return min(d, p - 1 - d)
 
+    # C(d, k) C(d+k, k) = (d+k)! / (k!^2 (d-k)!), and d + k < p on the box
     def term(d, k, place):
-        return (pascal[d][k] * pascal[d + k][k]) ** 2 % p
+        return (fact[d + k] * inv_fact[k] ** 2 * inv_fact[d - k]) ** 2 % p
 
     return sum(map(prod, _digit_box(n, p, carry_free, term))) % p

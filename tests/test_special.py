@@ -4,6 +4,7 @@ The exact omega values are cross-checked against a second, structurally
 different oracle: inverting the defining power series over the rationals.
 """
 
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucaslp.lp import AperySequence, OmegaSequence, TableSequence, lp_bruteforce
-from lucaslp.modmath import binomial_mod_lucas, primes_upto
-from lucaslp.special import _omega_mod_table, apery, apery_mod, omega, omega_mod
+from lucaslp.modmath import _factorials_mod, binomial_mod_lucas, primes_upto
+from lucaslp.special import _omega_mod_residues, apery, apery_mod, omega, omega_mod
 
 OMEGA_FIRST = [
     1,
@@ -110,7 +111,43 @@ def test_omega_mod_tables_are_bounded():
     primes = (17, 19, 23, 29, 31)
     for p in primes + primes[:1]:  # the first table is evicted, then rebuilt
         assert [omega_mod(n, p) for n in range(30)] == [omega(n) % p for n in range(30)], p
-    assert _omega_mod_table.cache_info().currsize <= 4
+    assert _omega_mod_residues.cache_info().currsize <= 4
+
+
+@pytest.mark.parametrize("p, count", [(2, 2**3), (3, 3**3), (5, 5**3), (7, 7**3), (3, 3**5)])
+def test_omega_mod_groups_match_full_convolution(p, count):
+    # every index below p^3 (and 3^5) spans several digit groups of p
+    # indices, with k_h != 0 terms reaching back across groups
+    _omega_mod_residues.cache_clear()
+    assert [omega_mod(n, p) for n in range(count)] == [
+        omega_mod_reference(n, p) for n in range(count)
+    ]
+
+
+def test_omega_mod_out_of_order_queries():
+    _omega_mod_residues.cache_clear()
+    assert omega_mod(200, 5) == omega_mod_reference(200, 5)
+    for n in (7, 0, 124, 25, 3, 200):
+        assert omega_mod(n, 5) == omega_mod_reference(n, 5), n
+    # five primes in turn through a 4-entry cache: each state is evicted
+    # and rebuilt between its queries
+    for n in (40, 3, 97, 0, 26, 130):
+        for p in (2, 3, 5, 7, 11):
+            assert omega_mod(n, p) == omega_mod_reference(n, p), (n, p)
+    assert _omega_mod_residues.cache_info().currsize <= 4
+
+
+def test_small_queries_at_a_large_prime_do_no_quadratic_work():
+    # a p x p table of digit binomials would take minutes at this prime
+    p = 100003
+    for n, modular, exact in [(n, omega_mod, omega) for n in range(4)] + [(1, apery_mod, apery)]:
+        _factorials_mod.cache_clear()
+        _omega_mod_residues.cache_clear()
+        t0 = time.perf_counter()
+        value = modular(n, p)
+        elapsed = time.perf_counter() - t0
+        assert value == exact(n) % p, (modular.__name__, n)
+        assert elapsed < 1.0, (modular.__name__, n, elapsed)
 
 
 def test_apery_first_values():
