@@ -10,11 +10,10 @@ codes follow one contract everywhere: 0 when every checked property holds
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .modmath import Prime, primes_upto
 from .sequences import FIBONACCI, LinearRecurrence, alpha, period_mod
@@ -50,8 +49,7 @@ class CsvUnrepresentableError(ValueError):
     """Raised when a report is too nested for a flat csv rendering."""
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """The uniform report shape every subcommand emits."""
 
     command: str
@@ -101,6 +99,8 @@ def _columns(rows) -> list[str]:
 
 
 def _format_csv(report: Report) -> str:
+    import csv  # only csv output needs it, so other commands start faster
+
     rows = [_flatten_row(r) for r in report.verdicts]
     columns = _columns(rows)
     buf = io.StringIO()

@@ -34,7 +34,6 @@ and keep them out of both the disagreement count and the valid-b sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from math import gcd
@@ -103,18 +102,17 @@ class NotFoundWithinBoundError(RuntimeError):
     """Raised when no prime below the bound produces a counterexample."""
 
 
-@dataclass(frozen=True)
-class AffineIndexMap:
+class AffineIndexMap(NamedTuple("AffineIndexMap", [("a", int), ("b", int)])):
     """The index map n -> a*n + b with a >= 1, b >= 0."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a < 1:
-            raise ValueError(f"stride a must be >= 1, got {self.a}")
-        if self.b < 0:
-            raise ValueError(f"offset b must be >= 0, got {self.b}")
+    def __new__(cls, a: int, b: int) -> "AffineIndexMap":
+        if a < 1:
+            raise ValueError(f"stride a must be >= 1, got {a}")
+        if b < 0:
+            raise ValueError(f"offset b must be >= 0, got {b}")
+        return tuple.__new__(cls, (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +120,28 @@ class AffineIndexMap:
 
 
 class SequenceSpec:
-    """A concrete integer sequence, sampled mod p by the oracle."""
+    """A concrete integer sequence, sampled mod p by the oracle.
 
-    variant = "abstract"
+    The specs below are NamedTuples that list this class first among their
+    bases, so its equality comes before the tuple's: unlike tuples, specs
+    compare equal only to a spec of their own type (AperySequence() !=
+    OmegaSequence(), and no spec equals a plain tuple). For the same reason
+    it defines no attribute that would hide a field, such as a default
+    `variant` hiding `AffineSequence.variant`.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):  # tuple's own __ne__ would come next
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
 
     def iter_residues(self, p, count: int):
         """Yield S(0) mod p, ..., S(count-1) mod p."""
@@ -155,8 +172,13 @@ def _period(rec: LinearRecurrence, p: int) -> PeriodInfo:
     return period_mod(rec, p)
 
 
-@dataclass(frozen=True)
-class AffineSequence(SequenceSpec):
+class AffineSequence(
+    SequenceSpec,
+    NamedTuple(
+        "AffineSequence",
+        [("rec", LinearRecurrence), ("index_map", AffineIndexMap), ("variant", str)],
+    ),
+):
     """S(n) = A(a*n + b) for a second-order recurrence A.
 
     `variant` names the family the spec was built as (fib-affine,
@@ -164,9 +186,7 @@ class AffineSequence(SequenceSpec):
     recurrence, since the other two fix it.
     """
 
-    rec: LinearRecurrence
-    index_map: AffineIndexMap
-    variant: str
+    __slots__ = ()
 
     def iter_residues(self, p, count):
         return _stride_terms(self.rec, self.index_map.a, self.index_map.b, int(Prime(p)), count)
@@ -186,11 +206,10 @@ class AffineSequence(SequenceSpec):
         return d
 
 
-@dataclass(frozen=True)
-class PowerSequence(SequenceSpec):
+class PowerSequence(SequenceSpec, NamedTuple("PowerSequence", [("base", int)])):
     """S(n) = base**n, the multiplicative reference case (always LP)."""
 
-    base: int
+    __slots__ = ()
     variant = "power"
 
     def iter_residues(self, p, count):
@@ -210,10 +229,10 @@ class PowerSequence(SequenceSpec):
         return {"variant": self.variant, "base": self.base}
 
 
-@dataclass(frozen=True)
-class AperySequence(SequenceSpec):
+class AperySequence(SequenceSpec, NamedTuple("AperySequence", [])):
     """S(n) = the nth Apery number."""
 
+    __slots__ = ()
     variant = "apery"
 
     def iter_residues(self, p, count):
@@ -225,10 +244,10 @@ class AperySequence(SequenceSpec):
         return {"variant": self.variant}
 
 
-@dataclass(frozen=True)
-class OmegaSequence(SequenceSpec):
+class OmegaSequence(SequenceSpec, NamedTuple("OmegaSequence", [])):
     """S(n) = the nth reciprocal-Bessel coefficient."""
 
+    __slots__ = ()
     variant = "omega"
 
     def iter_residues(self, p, count):
@@ -240,16 +259,18 @@ class OmegaSequence(SequenceSpec):
         return {"variant": self.variant}
 
 
-@dataclass(frozen=True)
-class TableSequence(SequenceSpec):
+class TableSequence(
+    SequenceSpec, NamedTuple("TableSequence", [("values", tuple[int, ...])])
+):
     """S given by an explicit value table S(0), S(1), ..."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
     variant = "table"
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __new__(cls, values: tuple[int, ...]) -> "TableSequence":
+        if not values:
             raise ValueError("value table must be non-empty")
+        return tuple.__new__(cls, (values,))
 
     def iter_residues(self, p, count):
         if len(self.values) < count:
@@ -280,8 +301,7 @@ def general_affine(rec: LinearRecurrence, a: int, b: int) -> AffineSequence:
 # the oracle
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """A witness n with S(n) = lhs but digit product rhs, lhs != rhs mod p."""
 
     n: int
@@ -293,18 +313,28 @@ class Counterexample:
         return {"n": self.n, "lhs": self.lhs, "digits": list(self.digits), "rhs": self.rhs}
 
 
-@dataclass(frozen=True)
-class LPVerdict:
+class LPVerdict(
+    NamedTuple(
+        "LPVerdict",
+        [
+            ("holds", bool),
+            ("prime", int),
+            ("digit_bound", int),
+            ("counterexample", Counterexample | None),
+        ],
+    )
+):
     """Outcome of one brute-force scan."""
 
-    holds: bool
-    prime: int
-    digit_bound: int
-    counterexample: Counterexample | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.holds != (self.counterexample is None):
+    def __new__(
+        cls, holds: bool, prime: int, digit_bound: int,
+        counterexample: Counterexample | None = None,
+    ) -> "LPVerdict":
+        if holds != (counterexample is None):
             raise ValueError("holds must be equivalent to the absence of a counterexample")
+        return tuple.__new__(cls, (holds, prime, digit_bound, counterexample))
 
     def to_dict(self) -> dict:
         d = {"holds": self.holds, "prime": int(self.prime), "digit_bound": self.digit_bound}
@@ -521,8 +551,7 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class BEnumeration:
+class BEnumeration(NamedTuple):
     """Offsets b (mod the sequence period) that pass the oracle for fixed a."""
 
     family: str
@@ -616,8 +645,7 @@ def corollary1_counterexample(
 # cross-validation sweeps
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     """One (prime, a, b) comparison of criterion vs oracle."""
 
     prime: int
@@ -634,8 +662,7 @@ class GridCell:
         return not self.identically_zero and self.predicted != self.oracle_holds
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     """Outcome of a full criterion-vs-oracle sweep."""
 
     theorem: int

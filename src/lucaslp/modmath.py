@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "NonInvertibleError",
@@ -77,21 +77,22 @@ class Prime(int):
         return super().__new__(cls, value)
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+class DigitExpansion(
+    NamedTuple("DigitExpansion", [("base", Prime), ("digits", tuple[int, ...])])
+):
     """Canonical little-endian base-p digits; digits[0] is least significant."""
 
-    base: Prime
-    digits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p = int(self.base)
-        if not self.digits:
+    def __new__(cls, base: Prime, digits: tuple[int, ...]) -> "DigitExpansion":
+        p = int(base)
+        if not digits:
             raise ValueError("digit tuple must be non-empty; zero is (0,)")
-        if any(d < 0 or d >= p for d in self.digits):
-            raise ValueError(f"digit out of range for base {p}: {self.digits}")
-        if len(self.digits) > 1 and self.digits[-1] == 0:
-            raise ValueError(f"trailing zero digit makes {self.digits} non-canonical")
+        if any(d < 0 or d >= p for d in digits):
+            raise ValueError(f"digit out of range for base {p}: {digits}")
+        if len(digits) > 1 and digits[-1] == 0:
+            raise ValueError(f"trailing zero digit makes {digits} non-canonical")
+        return tuple.__new__(cls, (base, digits))
 
     def value(self) -> int:
         n = 0
@@ -138,18 +139,48 @@ def binomial_exact(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=4)  # each pair holds 2p residues; keep a few primes only
-def _factorials_mod(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # (i! mod p, (i!)^-1 mod p) for 0 <= i < p, so C(d, k) mod p for digits
-    # k <= d < p is fact[d] * inv_fact[k] * inv_fact[d - k]
-    fact = [1] * p
-    for i in range(1, p):
-        fact[i] = fact[i - 1] * i % p
-    inv_fact = [1] * p
-    inv_fact[-1] = pow(fact[-1], p - 2, p)
-    for i in range(p - 1, 1, -1):
-        inv_fact[i - 1] = inv_fact[i] * i % p
-    return tuple(fact), tuple(inv_fact)
+@lru_cache(maxsize=4)  # each pair holds at most 2p residues; keep a few primes only
+def _factorials_mod(p: int) -> tuple[list[int], list[int]]:
+    # (i! mod p, (i!)^-1 mod p) for 0 <= i < len, grown in place by
+    # _factorials_upto, so C(d, k) mod p for digits k <= d < p is
+    # fact[d] * inv_fact[k] * inv_fact[d - k]
+    return [1], [1]
+
+
+def _factorials_upto(p: int, top: int) -> tuple[list[int], list[int]]:
+    """The factorial tables of p, grown in place to cover 0..top (top < p).
+
+    Each growth at least doubles them, up to p entries, and costs one
+    modular inverse, so the tables stay near the largest digit asked for:
+    small digits at a large prime read a few entries, not p.
+    """
+    fact, inv_fact = _factorials_mod(p)
+    have = len(fact)
+    if top >= have:
+        size = min(p, max(top + 1, 2 * have))
+        head, f = [], fact[-1]
+        for i in range(have, size):
+            f = f * i % p
+            head.append(f)
+        inv = pow(f, p - 2, p)
+        tail = [0] * (size - have)
+        for i in range(size - 1, have - 1, -1):
+            tail[i - have] = inv
+            inv = inv * i % p
+        # extend only once both parts are computed, so that an interrupted
+        # growth leaves the two tables of equal length
+        fact += head
+        inv_fact += tail
+    return fact, inv_fact
+
+
+def _max_digit(n: int, p: int) -> int:
+    top = 0
+    while n:
+        n, d = divmod(n, p)
+        if d > top:
+            top = d
+    return top
 
 
 def binomial_mod_lucas(n: int, m: int, p) -> int:
@@ -157,7 +188,7 @@ def binomial_mod_lucas(n: int, m: int, p) -> int:
     p = int(Prime(p))
     if n < 0 or m < 0:
         raise ValueError(f"binomial arguments must be >= 0, got ({n}, {m})")
-    fact, inv_fact = _factorials_mod(p)
+    fact, inv_fact = _factorials_upto(p, _max_digit(n, p))
     r = 1
     while n or m:
         n, nd = divmod(n, p)

@@ -22,7 +22,6 @@ factored, by trial division and Pollard-Brent rho under a step budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
 from math import gcd
@@ -54,8 +53,7 @@ class ScanExhaustedError(RuntimeError):
     """Raised when a bounded scan ends before finding its target."""
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
+class LinearRecurrence(NamedTuple):
     """Integer recurrence A(n) = u*A(n-1) + v*A(n-2) with seeds A(0), A(1)."""
 
     a0: int

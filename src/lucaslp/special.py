@@ -22,7 +22,8 @@ are used to test. With n_i the base-p digits of n:
 
 On the box every binomial is a product of digit binomials, each
 d!/(k!(d-k)!) read from factorial and inverse-factorial tables mod p, which
-hold O(p) residues. The Apery box is walked lazily, so memory stays
+hold O(p) residues, and are built only up to the largest digit asked for
+(omega reads all p). The Apery box is walked lazily, so memory stays
 O(p * digits) for any n. Time does not: an index whose digits sit near p/2
 still costs time exponential in its digit count.
 """
@@ -34,7 +35,7 @@ from itertools import product, repeat
 from math import prod
 from operator import add, mod, mul
 
-from .modmath import Prime, _factorials_mod, binomial_exact
+from .modmath import Prime, _factorials_upto, _max_digit, binomial_exact
 
 __all__ = ["omega", "omega_mod", "apery", "apery_mod"]
 
@@ -103,7 +104,7 @@ class _OmegaResidues:
 
     def __init__(self, p: int):
         self.p = p
-        self.fact, self.inv_fact = _factorials_mod(p)
+        self.fact, self.inv_fact = _factorials_upto(p, p - 1)
         self.signed = [
             (-f * f if t % 2 else f * f) % p for t, f in enumerate(self.inv_fact)
         ]
@@ -179,10 +180,13 @@ def apery_mod(n: int, p) -> int:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     p = int(Prime(p))
-    fact, inv_fact = _factorials_mod(p)
 
     def carry_free(d):
         return min(d, p - 1 - d)
+
+    # d + carry_free(d) grows with d, and the box reads factorials up to it
+    top = _max_digit(n, p)
+    fact, inv_fact = _factorials_upto(p, top + carry_free(top))
 
     # C(d, k) C(d+k, k) = (d+k)! / (k!^2 (d-k)!), and d + k < p on the box
     def term(d, k, place):

@@ -390,6 +390,39 @@ def test_csv_flattens_counterexample(capsys):
     assert rows[0]["counterexample.digits"] == "0;1"
 
 
+def test_report_record():
+    report = Report("demo", {"prime": 5}, [{"n": 1}])
+    assert report.agreement is None
+    assert report == Report(command="demo", inputs={"prime": 5}, verdicts=[{"n": 1}], agreement=None)
+    assert Report("demo", {}, [], {"cells": 0}).agreement == {"cells": 0}
+    assert repr(report) == "Report(command='demo', inputs={'prime': 5}, verdicts=[{'n': 1}], agreement=None)"
+    assert report.to_dict() == {"command": "demo", "inputs": {"prime": 5}, "verdicts": [{"n": 1}]}
+    for name in ("command", "inputs", "verdicts", "agreement"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+
+
+def test_import_loads_every_layer_without_dataclasses():
+    # records are NamedTuples: importing the CLI generates no dataclass
+    # methods, and every layer module is loaded for callers that look them
+    # up in sys.modules
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "import json, sys; before = set(sys.modules); import lucaslp.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "dataclasses" not in loaded
+    assert "csv" not in loaded
+    layers = {f"lucaslp.{m}" for m in ("modmath", "sequences", "identities", "special", "lp", "cli")}
+    assert layers <= loaded
+
+
 def test_csv_unrepresentable_raises():
     report = Report("demo", {}, [{"cell": {"deep": {"deeper": 1}}}])
     with pytest.raises(CsvUnrepresentableError):

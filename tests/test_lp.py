@@ -20,8 +20,11 @@ from lucaslp.lp import (
     AS_PROVED,
     AS_STATED,
     AffineIndexMap,
+    AgreementReport,
     AperySequence,
+    BEnumeration,
     Counterexample,
+    GridCell,
     LPVerdict,
     NotFoundWithinBoundError,
     OmegaSequence,
@@ -759,3 +762,138 @@ def test_prime_validation_everywhere():
         enumerate_valid_b("fib", 1, 9)
     with pytest.raises(ValueError):
         crossval_theorem1((6,), (1,), (0,))
+
+
+# ---------------------------------------------------------------------------
+# records: construction, validation, immutability, equality and repr
+
+
+WITNESS = Counterexample(6, 1, (1, 1), 0)
+
+
+def test_records_construct_positionally_by_keyword_and_with_defaults():
+    verdict = LPVerdict(False, 5, 3, WITNESS)
+    assert verdict == LPVerdict(holds=False, prime=5, digit_bound=3, counterexample=WITNESS)
+    assert (verdict.holds, verdict.prime, verdict.digit_bound) == (False, 5, 3)
+    assert verdict.counterexample.digits == (1, 1)
+    assert LPVerdict(True, 5, 3).counterexample is None
+    assert LPVerdict(True, 5, digit_bound=3) == LPVerdict(True, 5, 3, None)
+
+    cell = GridCell(5, 1, 2, True, False, False)
+    assert cell == GridCell(
+        prime=5, a=1, b=2, predicted=True, oracle_holds=False, identically_zero=False,
+        rec=None, counterexample=None,
+    )
+    assert (cell.rec, cell.counterexample) == (None, None)
+    assert cell.disagrees
+    cell3 = GridCell(5, 1, 2, True, True, False, PELL, None)
+    assert cell3.rec == PELL and not cell3.disagrees
+
+    enum = BEnumeration("fib", 5, 5, 3, 0, 20, (1, 2), (1, 2), ())
+    assert enum == BEnumeration(
+        family="fib", a=5, prime=5, digit_bound=3, preperiod=0, modulus=20,
+        valid_b=(1, 2), predicted_b=(1, 2), identically_zero_b=(), rec=None,
+    )
+    assert enum.rec is None and enum.matches_prediction
+    general = BEnumeration("general", 5, 5, 3, 0, 20, (1,), (2,), (), rec=PELL)
+    assert general.rec == PELL and not general.matches_prediction
+
+    report = AgreementReport(1, None, 3, (cell, cell3))
+    assert report == AgreementReport(theorem=1, reading=None, digit_bound=3, cells=(cell, cell3))
+    assert report.disagreements == (cell,)
+    assert report.identically_zero_cells == ()
+
+
+def test_record_validation():
+    with pytest.raises(ValueError):
+        LPVerdict(True, 5, 3, WITNESS)
+    with pytest.raises(ValueError):
+        LPVerdict(False, 5, 3)
+    with pytest.raises(ValueError):
+        AffineIndexMap(0, 1)
+    with pytest.raises(ValueError):
+        AffineIndexMap(1, -1)
+    with pytest.raises(ValueError):
+        TableSequence(())
+
+
+def _records():
+    """(record, names of its attributes) for one instance of each lp record."""
+    cell = GridCell(5, 1, 2, True, False, False)
+    return [
+        (AffineIndexMap(5, 1), ("a", "b")),
+        (fib_affine(5, 1), ("rec", "index_map", "variant")),
+        (PowerSequence(3), ("base", "variant")),
+        (AperySequence(), ("variant",)),
+        (OmegaSequence(), ("variant",)),
+        (TableSequence((1, 2)), ("values", "variant")),
+        (WITNESS, ("n", "lhs", "digits", "rhs")),
+        (LPVerdict(False, 5, 3, WITNESS), ("holds", "prime", "digit_bound", "counterexample")),
+        (
+            BEnumeration("fib", 5, 5, 3, 0, 20, (1, 2), (1, 2), ()),
+            ("family", "a", "prime", "digit_bound", "preperiod", "modulus", "valid_b",
+             "predicted_b", "identically_zero_b", "rec"),
+        ),
+        (cell, ("prime", "a", "b", "predicted", "oracle_holds", "identically_zero", "rec",
+                "counterexample")),
+        (AgreementReport(1, None, 3, (cell,)), ("theorem", "reading", "digit_bound", "cells")),
+    ]
+
+
+def test_records_are_immutable():
+    for record, names in _records():
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+
+def test_equal_records_are_equal_and_hash_equal():
+    for (first, _), (second, _) in zip(_records(), _records()):
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+
+
+def test_record_repr():
+    assert repr(AffineIndexMap(5, 1)) == "AffineIndexMap(a=5, b=1)"
+    assert repr(fib_affine(5, 1)) == (
+        "AffineSequence(rec=LinearRecurrence(a0=0, a1=1, u=1, v=1), "
+        "index_map=AffineIndexMap(a=5, b=1), variant='fib-affine')"
+    )
+    assert repr(PowerSequence(3)) == "PowerSequence(base=3)"
+    assert repr(AperySequence()) == "AperySequence()"
+    assert repr(OmegaSequence()) == "OmegaSequence()"
+    assert repr(TableSequence((1, 2))) == "TableSequence(values=(1, 2))"
+    assert repr(WITNESS) == "Counterexample(n=6, lhs=1, digits=(1, 1), rhs=0)"
+    assert repr(lp_bruteforce(fib_affine(5, 1), 5, 3)) == (
+        "LPVerdict(holds=True, prime=5, digit_bound=3, counterexample=None)"
+    )
+    assert repr(GridCell(5, 1, 2, True, False, False)) == (
+        "GridCell(prime=5, a=1, b=2, predicted=True, oracle_holds=False, "
+        "identically_zero=False, rec=None, counterexample=None)"
+    )
+    assert repr(AgreementReport(2, AS_PROVED, 3, ())) == (
+        "AgreementReport(theorem=2, reading='as-proved', digit_bound=3, cells=())"
+    )
+    assert repr(BEnumeration("fib", 5, 5, 3, 0, 20, (1,), (1,), ())) == (
+        "BEnumeration(family='fib', a=5, prime=5, digit_bound=3, preperiod=0, modulus=20, "
+        "valid_b=(1,), predicted_b=(1,), identically_zero_b=(), rec=None)"
+    )
+
+
+def test_spec_variants_and_type_strict_equality():
+    assert fib_affine(5, 1).variant == "fib-affine"
+    assert lucas_affine(5, 1).variant == "lucas-affine"
+    assert general_affine(PELL, 5, 1).variant == "general-affine"
+    assert PowerSequence(3).variant == "power"
+    assert AperySequence().variant == "apery"
+    assert OmegaSequence().variant == "omega"
+    assert TableSequence((3,)).variant == "table"
+    assert fib_affine(5, 1) == fib_affine(5, 1)
+    assert fib_affine(5, 1) != lucas_affine(5, 1)
+    assert AperySequence() != OmegaSequence()
+    assert not AperySequence() == OmegaSequence()
+    assert PowerSequence(3) != TableSequence((3,))
+    assert not PowerSequence(3) == TableSequence((3,))
+    assert PowerSequence(3) != (3,) and (3,) != PowerSequence(3)
+    assert AperySequence() != () and () != AperySequence()
+    assert len({AperySequence(), OmegaSequence(), AperySequence()}) == 2

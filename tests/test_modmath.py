@@ -220,3 +220,19 @@ def test_binomial_mod_lucas_small_grid():
 def test_binomial_mod_lucas_matches_exact(n, m, p):
     expected = math.comb(n, m) % p if m <= n else 0
     assert binomial_mod_lucas(n, m, p) == expected
+
+
+def test_digit_expansion_record():
+    p = Prime(5)
+    exp = DigitExpansion(p, (3, 2))
+    assert exp == DigitExpansion(base=p, digits=(3, 2)) == digits_base_p(13, 5)
+    assert hash(exp) == hash(digits_base_p(13, 5))
+    assert exp.value() == 13 and exp.base == 5 and exp.digits == (3, 2)
+    assert repr(exp) == "DigitExpansion(base=5, digits=(3, 2))"
+    assert DigitExpansion(p, (0,)).value() == 0
+    for name in ("base", "digits"):
+        with pytest.raises(AttributeError):
+            setattr(exp, name, getattr(exp, name))
+    for digits in ((), (5,), (-1, 1), (1, 0), (0, 0)):
+        with pytest.raises(ValueError):
+            DigitExpansion(p, digits)

@@ -525,3 +525,19 @@ def test_period_at_large_primes_is_certified(p):
     for q in group_exponent_primes(p):
         if per % q == 0:
             assert state(2 + per // q) != state(2), q
+
+
+def test_linear_recurrence_record():
+    rec = LinearRecurrence(0, 1, 1, 1)
+    assert rec == LinearRecurrence(a0=0, a1=1, u=1, v=1) == FIBONACCI
+    assert LinearRecurrence(0, 1, v=1, u=1) == FIBONACCI
+    assert hash(rec) == hash(FIBONACCI)
+    assert repr(FIBONACCI) == "LinearRecurrence(a0=0, a1=1, u=1, v=1)"
+    assert repr(LinearRecurrence(5, 3, 2, 4)) == "LinearRecurrence(a0=5, a1=3, u=2, v=4)"
+    assert LinearRecurrence.from_string("5,3,2,4") == LinearRecurrence(5, 3, 2, 4)
+    assert LinearRecurrence(-1, 2, -3, 4).as_string() == "-1,2,-3,4"
+    assert (rec.a0, rec.a1, rec.u, rec.v) == (0, 1, 1, 1)
+    for name in ("a0", "a1", "u", "v"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 7)
+    assert rec == FIBONACCI and rec != LUCAS_NUMBERS

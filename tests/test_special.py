@@ -5,6 +5,7 @@ different oracle: inverting the defining power series over the rationals.
 """
 
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -148,6 +149,28 @@ def test_small_queries_at_a_large_prime_do_no_quadratic_work():
         elapsed = time.perf_counter() - t0
         assert value == exact(n) % p, (modular.__name__, n)
         assert elapsed < 1.0, (modular.__name__, n, elapsed)
+
+
+def test_small_digits_at_a_large_prime_build_small_factorial_tables():
+    # full tables at this prime held 2p residues, 108 MB peak RSS for two
+    # digit binomials; only the entries up to the largest digit are needed
+    p = 1000003
+    _factorials_mod.cache_clear()
+    tracemalloc.start()
+    try:
+        values = [apery_mod(0, p), apery_mod(1, p), binomial_mod_lucas(3 * p + 2, p + 1, p)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values == [1, 5, comb(3, 1) * comb(2, 1) % p]
+    assert peak < 100_000
+    fact, inv_fact = _factorials_mod(p)
+    assert len(fact) == len(inv_fact) < 10
+    # a larger digit grows the same tables, and they stay consistent
+    assert binomial_mod_lucas(40, 17, p) == comb(40, 17) % p
+    assert apery_mod(30, p) == apery(30) % p
+    assert len(fact) < 100
+    assert all(f * g % p == 1 for f, g in zip(fact, inv_fact))
 
 
 def test_apery_first_values():
