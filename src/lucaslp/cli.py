@@ -13,6 +13,8 @@ import argparse
 import io
 import json
 import sys
+from functools import lru_cache
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .modmath import Prime, primes_upto
@@ -85,7 +87,14 @@ def _csv_scalar(value, context: str):
 def _flatten_row(row: dict) -> dict:
     flat = {}
     for key, value in row.items():
-        if isinstance(value, dict):
+        # grid rows hold only these; bool is tested by identity, as it is an int
+        if value is True:
+            flat[key] = "true"
+        elif value is False:
+            flat[key] = "false"
+        elif type(value) is int or type(value) is str:
+            flat[key] = value
+        elif isinstance(value, dict):
             for sub, sv in value.items():
                 flat[f"{key}.{sub}"] = _csv_scalar(sv, f"{key}.{sub}")
         else:
@@ -104,10 +113,65 @@ def _format_csv(report: Report) -> str:
     rows = [_flatten_row(r) for r in report.verdicts]
     columns = _columns(rows)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, restval="", lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([list(map(row.get, columns, repeat(""))) for row in rows])
     return buf.getvalue()
+
+
+# json.dumps(indent=2) always runs json's pure-Python encoder, one generator
+# frame per value. With indent=None, JSONEncoder.encode runs the C encoder,
+# and the separator ",\n" + pad puts each entry of a flat container on its own
+# line at that pad. Raw newlines appear in encoded JSON only inside separators
+# (strings escape them), which the row splitting below relies on.
+_CONTAINERS = (dict, list, tuple)
+
+
+@lru_cache(maxsize=16)
+def _line_encoder(level: int):
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * level, ": ")).encode
+
+
+def _nested(values) -> bool:
+    # one type() per value in C, then one test per distinct type: a test per
+    # value in Python would cost as much as encoding a large report
+    return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _flat_rows(values) -> bool:
+    """True for a list of non-empty dicts that hold no container."""
+    return (
+        all(issubclass(t, dict) for t in set(map(type, values)))
+        and all(values)
+        and not _nested(chain.from_iterable(map(dict.values, values)))
+    )
+
+
+def _json(value, level: int = 0) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), as if nested `level` deep."""
+    if not isinstance(value, _CONTAINERS) or not value:
+        return _line_encoder(level)(value)  # a scalar, [] or {}
+    is_dict = isinstance(value, dict)
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if not _nested(value.values() if is_dict else value):
+        text = _line_encoder(level + 1)(value)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if not is_dict and _flat_rows(value):
+        # one C call for the whole list; "}," + newline + row pad + "{" occurs
+        # exactly between rows, since inside a row a separator precedes a key
+        text = _line_encoder(level + 2)(value)[2:-2]
+        body = text.replace("}," + inner + "  {", inner + "}," + inner + "{" + inner + "  ")
+        return "[" + inner + "{" + inner + "  " + body + inner + "}" + outer + "]"
+    if not is_dict:
+        parts = [_json(v, level + 1) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + outer + "]"
+    if not all(type(k) is str for k in value):
+        # json converts other keys to str itself; leave those to it
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", outer)
+    key = _line_encoder(level)
+    parts = [key(k) + ": " + _json(value[k], level + 1) for k in sorted(value)]
+    return "{" + inner + ("," + inner).join(parts) + outer + "}"
 
 
 def _plain_scalar(value) -> str:
@@ -146,7 +210,7 @@ def _format_plain(report: Report) -> str:
 def format_report(report: Report, fmt: str = "json") -> str:
     """Render a report in one of the supported output formats."""
     if fmt == "json":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _json(report.to_dict()) + "\n"
     if fmt == "csv":
         return _format_csv(report)
     if fmt == "plain":
@@ -397,13 +461,18 @@ def _cmd_special(args):
     return Report("special", inputs, rows), 0
 
 
-_CELL_COLUMNS = ("prime", "a", "b", "predicted", "oracle_holds", "identically_zero", "disagrees")
-
-
 def _cell_row(cell, with_rec: bool) -> dict:
-    row = {"rec": cell.rec.as_string()} if with_rec else {}
-    row.update((key, getattr(cell, key)) for key in _CELL_COLUMNS)
-    return row
+    row = {
+        "prime": cell.prime,
+        "a": cell.a,
+        "b": cell.b,
+        "predicted": cell.predicted,
+        "oracle_holds": cell.oracle_holds,
+        "identically_zero": cell.identically_zero,
+        "disagrees": cell.disagrees,
+    }
+    # csv columns come in first-seen key order, so rec leads
+    return {"rec": cell.rec.as_string(), **row} if with_rec else row
 
 
 def _cmd_crossval(args):

@@ -10,13 +10,12 @@ either one.
 
 The property holds iff S(p*m + j) = S(m) * S(j) mod p for every m >= 1 and
 j < p (the digit-recursive form, McIntosh, Amer. Math. Monthly 99, 1992).
-For affine and power specs both sides are periodic in m: with S periodic
-from pre on with period per, the first violation, if any, lies below the
-certificate N* = p * (max(pre, 1) + per), never taken from a criterion.
-The oracle stops there, so a holding verdict with N* <= p**digit_bound
-holds for every n. For S(n) = A(a*n + b), per divides the period of A mod
-p and N* <= p**3, so digit_bound 3 already gives the all-n answer; F(42n+1)
-mod 211 reads 422 terms instead of 211**3.
+For S(n) = A(a*n + b), both sides satisfy one recurrence of order 2 in m,
+so the first violation, if any, lies below 3p; for a power base**n the
+order is 1 and it lies below 2p (see `lp_bruteforce`). The oracle stops
+there, so for these specs a verdict holds for every n once
+p**(digit_bound - 1) >= 3, with a row bound that no criterion and no period
+supplies; F(42n+1) mod 211 reads 633 terms instead of 211**3.
 
 Every affine subsequence S(n) = A(a*n + b) of a second-order recurrence is
 one `AffineSequence`; a family table maps "fib", "lucas" and "general" to
@@ -154,8 +153,8 @@ class SequenceSpec:
         """(pre, per) such that S(n) and S(p*n + j), for each j < p, are
         periodic mod p with period per from n >= pre on; None if unknown.
 
-        This is the oracle's certificate: it stops its scan at
-        p * (max(pre, 1) + per). Specs without one are scanned in full.
+        The oracle does not need it: its row bound comes from the order of
+        the recurrence S satisfies (see `lp_bruteforce`).
         """
         return None
 
@@ -352,23 +351,29 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     Single-digit n satisfy the congruence identically, so digit_bound must
     be at least 2 for the scan to say anything.
 
-    The congruence holds for every n iff S(p*m + j) = S(m) * S(j) for every
-    m >= 1 and j < p. When the spec gives a certificate (pre, per) (see
-    `SequenceSpec.residue_period`), both sides are periodic in m with period
-    per from m >= pre on, so the first violation, if any, lies below
-    N* = p * (max(pre, 1) + per), and the scan stops at min(p**digit_bound,
-    N*) with the same verdict and counterexample as the full scan. When
-    N* <= p**digit_bound a holding verdict holds for every n; for affine
-    specs N* <= p**3, so digit_bound 3 already decides them exactly.
+    The congruence holds for every n iff D_j(m) = S(p*m + j) - S(j) * S(m)
+    is 0 mod p for every m >= 1 and j < p. For S(n) = A(a*n + b), S(m) is a
+    coordinate of (M**a)**m times a start state, M the companion matrix of
+    A, so by Cayley-Hamilton it satisfies chi, the characteristic
+    polynomial of M**a mod p, from m = 0 on. S(p*m + j) satisfies that of
+    M**(a*p), whose roots are the p-th powers of the roots of chi; Frobenius
+    permutes those, so it is chi too. So D_j satisfies chi, of order 2, and
+    D_j(1) = D_j(2) = 0 forces D_j(m) = 0 for every m >= 1, singular M
+    included. A power base**n satisfies x - base, of order 1, and D_j(1) = 0
+    suffices. The scan therefore stops after 3 rows m (n < 3p) for affine
+    specs and 2 rows (n < 2p) for power specs, with the same verdict and
+    counterexample as the full scan, and a holding verdict with
+    p**(digit_bound - 1) >= rows holds for every n.
     """
     p = Prime(p)
     if digit_bound < 2:
         raise ValueError(f"digit_bound must be >= 2, got {digit_bound}")
     pi = int(p)
     rows = pi ** (digit_bound - 1)  # values of m = n // p the scan reaches
-    certificate = spec.residue_period(p)
-    if certificate is not None:
-        rows = min(rows, max(certificate.preperiod, 1) + certificate.period)
+    if isinstance(spec, AffineSequence):
+        rows = min(rows, 3)
+    elif isinstance(spec, PowerSequence):
+        rows = min(rows, 2)
     it = spec.iter_residues(p, rows * pi)
     head = list(islice(it, pi))
     prods = list(head)  # digit products of m = 0, 1, ...; the scan reads m < rows

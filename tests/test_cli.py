@@ -10,8 +10,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lucaslp.sequences
+from lucaslp import cli
 from lucaslp.cli import CsvUnrepresentableError, Report, format_report, run_cli
 
 
@@ -430,6 +433,144 @@ def test_csv_unrepresentable_raises():
     report = Report("demo", {}, [{"rows": [[1, 2], [3]]}])
     with pytest.raises(CsvUnrepresentableError):
         format_report(report, "csv")
+
+
+# ---------------------------------------------------------------------------
+# renderers against the standard library's own rendering
+
+# strings that look like the text the json renderer splits on, or that json
+# escapes
+TRICKY_TEXT = st.sampled_from(
+    ['"', "\\", "{", "}", ",", "},\n", '},\n      {"a": 1', "\n", "\t\x00\x1f", "é", " ", "😀"]
+)
+JSON_TEXT = TRICKY_TEXT | st.text(max_size=8)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**200, -(3**150)])
+    | st.floats()
+    | JSON_TEXT
+)
+EMPTY = st.sampled_from([[], (), {}])
+FLAT_ROWS = st.lists(
+    st.dictionaries(JSON_TEXT, JSON_SCALARS, min_size=1, max_size=4) | st.just({}), max_size=4
+)
+
+
+def json_values(keys):
+    return st.recursive(
+        JSON_SCALARS | EMPTY | FLAT_ROWS,
+        lambda children: (
+            st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(keys, children, max_size=4)
+        ),
+        max_leaves=12,
+    )
+
+
+def reference_json(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values(JSON_TEXT) | json_values(st.integers()))
+def test_json_renderer_matches_indented_dumps(value):
+    assert cli._json(value) == reference_json(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(JSON_TEXT, json_values(JSON_TEXT), max_size=3),
+    FLAT_ROWS | st.lists(json_values(JSON_TEXT), max_size=3),
+    st.none() | st.dictionaries(JSON_TEXT, FLAT_ROWS | JSON_SCALARS, max_size=3),
+)
+def test_json_report_matches_indented_dumps(inputs, verdicts, agreement):
+    report = Report("demo", inputs, verdicts, agreement)
+    assert format_report(report, "json") == reference_json(report.to_dict()) + "\n"
+
+
+def reference_csv(report):
+    """The csv rendering through csv.DictWriter that format_report replaced."""
+
+    def scalar(value, context):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if value is None:
+            return ""
+        if isinstance(value, (list, tuple)):
+            if any(isinstance(x, (list, tuple, dict)) for x in value):
+                raise CsvUnrepresentableError(f"nested sequence under {context!r} does not fit csv")
+            return ";".join(str(scalar(x, context)) for x in value)
+        if isinstance(value, dict):
+            raise CsvUnrepresentableError(f"nested mapping under {context!r} does not fit csv")
+        return value
+
+    rows = []
+    for row in report.verdicts:
+        flat = {}
+        for key, value in row.items():
+            if isinstance(value, dict):
+                for sub, sv in value.items():
+                    flat[f"{key}.{sub}"] = scalar(sv, f"{key}.{sub}")
+            else:
+                flat[key] = scalar(value, key)
+        rows.append(flat)
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, restval="", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def csv_outcome(render, report):
+    try:
+        return "ok", render(report)
+    except CsvUnrepresentableError as exc:
+        return "error", str(exc)
+
+
+CSV_KEYS = st.sampled_from(["prime", "a", "b", "n", "counterexample", "x,y", 'q"'])
+CSV_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT
+CSV_CELLS = CSV_SCALARS | st.lists(CSV_SCALARS, max_size=3) | st.lists(CSV_SCALARS, max_size=3).map(tuple)
+# the last two fit no csv cell: a nested sequence and a nested mapping
+CSV_VALUES = (
+    CSV_CELLS
+    | st.dictionaries(CSV_KEYS, CSV_CELLS, max_size=3)
+    | st.lists(st.lists(CSV_SCALARS, max_size=2), min_size=1, max_size=2)
+    | st.dictionaries(CSV_KEYS, st.dictionaries(CSV_KEYS, CSV_SCALARS), min_size=1, max_size=2)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(CSV_KEYS, CSV_VALUES, max_size=5), max_size=5))
+def test_csv_renderer_matches_dictwriter(rows):
+    report = Report("demo", {}, rows)
+    expected = csv_outcome(reference_csv, report)
+    assert csv_outcome(lambda r: format_report(r, "csv"), report) == expected
+
+
+def test_csv_renderer_cases():
+    rows = [
+        {"prime": 5, "holds": True, "counterexample": {"n": 7, "digits": [2, 1]}},
+        {"prime": 7, "zero": False, "digits": (1, True, None), "note": None},
+    ]
+    report = Report("demo", {}, rows)
+    assert format_report(report, "csv") == reference_csv(report) == (
+        "prime,holds,counterexample.n,counterexample.digits,zero,digits,note\n"
+        "5,true,7,2;1,,,\n"
+        "7,,,,false,1;true;,\n"
+    )
+    for bad, message in (
+        ({"cell": {"deep": {"deeper": 1}}}, "nested mapping under 'cell.deep'"),
+        ({"rows": [[1, 2], [3]]}, "nested sequence under 'rows'"),
+    ):
+        report = Report("demo", {}, [{"ok": 1}, bad])
+        assert csv_outcome(lambda r: format_report(r, "csv"), report) == (
+            "error", f"{message} does not fit csv"
+        )
 
 
 def test_format_validation():

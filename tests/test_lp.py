@@ -103,7 +103,7 @@ def naive_scan(spec, p, digit_bound):
 
 
 def full_scan_reference(spec, p, digit_bound):
-    """The oracle without its period certificate: every n < p**digit_bound."""
+    """The oracle without its row bound: every n < p**digit_bound."""
     p = Prime(p)
     pi = int(p)
     it = spec.iter_residues(p, pi**digit_bound)
@@ -122,7 +122,7 @@ def full_scan_reference(spec, p, digit_bound):
 
 
 def certificate_bound(spec, p):
-    """N* = p * (max(pre, 1) + per), the oracle's scan length when p**digit_bound >= N*."""
+    """N* = p * (max(pre, 1) + per), the bound the period certificate gives."""
     pre, per = spec.residue_period(p)
     return p * (max(pre, 1) + per)
 
@@ -280,7 +280,7 @@ def test_bruteforce_scans_all_indices_below_bound():
 
 @st.composite
 def certified_specs(draw):
-    """Affine and power specs, the ones whose scans stop at a certificate."""
+    """Affine and power specs, the ones whose scans stop at a row bound."""
     p = draw(st.sampled_from(SMALL_PRIMES))
     digit_bound = draw(st.integers(2, 4))
     if draw(st.booleans()):
@@ -290,7 +290,7 @@ def certified_specs(draw):
         rec = LinearRecurrence(draw(coefficient), draw(coefficient), draw(coefficient), v)
         pre, per = period_mod(rec, p)
         # strides that divide or are multiples of the period make S hold more
-        # often, with short certificates; offsets below 3 reach the preperiod
+        # often; offsets below 3 reach the preperiod
         a = draw(
             st.integers(1, 60)
             | st.sampled_from([d for d in range(1, per + 1) if per % d == 0])
@@ -325,8 +325,8 @@ def test_residue_period_certificates():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_digit_bound_3_is_exact_for_affine_specs(p):
-    # N* <= p**3 for every recurrence and stride, so a digit-3 scan stops at
-    # the certificate and its verdict covers every n
+    # N* <= p**3 for every recurrence and stride, so the period certificate
+    # alone would already make a digit-3 verdict cover every n
     for data in product(range(p), repeat=4):
         rec = LinearRecurrence(*data)
         pre, per = period_mod(rec, p)
@@ -336,7 +336,7 @@ def test_digit_bound_3_is_exact_for_affine_specs(p):
 
 def test_digit_bound_2_is_not_exact():
     # 0, 1, 0, 1, ... mod 2: every n < 4 passes, and the first failure sits
-    # at N* - 1 = 5, the last index the certified scan reads
+    # at 3p - 1 = N* - 1 = 5, the last index a three-row scan reads
     spec = general_affine(LinearRecurrence(0, 1, 0, 1), 1, 0)
     assert certificate_bound(spec, 2) == 6
     assert lp_bruteforce(spec, 2, 2).holds
@@ -348,8 +348,8 @@ def test_digit_bound_2_is_not_exact():
 
 
 def test_certified_scan_is_short_at_a_large_prime():
-    # the full scan would read 211**4, about 2e9 terms; the certificate stops
-    # it after 2 * 211
+    # the full scan would read 211**4, about 2e9 terms; the row bound stops
+    # it after 3 * 211
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -361,6 +361,46 @@ def test_certified_scan_is_short_at_a_large_prime():
     assert verdict == LPVerdict(True, 211, 4)
     assert elapsed < 1.0
     assert peak < 5_000_000
+
+
+# n < p**digit_bound reaches at least 16 terms past the row bound
+ROW_BOUND_DIGITS = {2: 6, 3: 4, 5: 3}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_row_bound_matches_full_scan_for_every_recurrence(p):
+    # every recurrence mod p, a < 2p and b < pre + per: the scan that stops
+    # after 3 rows gives the full scan's verdict and counterexample
+    digit_bound = ROW_BOUND_DIGITS[p]
+    count = p**digit_bound
+    for data in product(range(p), repeat=4):
+        rec = LinearRecurrence(*data)
+        pre, per = period_mod(rec, p)
+        terms = [rec.a0 % p, rec.a1 % p]
+        while len(terms) < (2 * p - 1) * count + pre + per:
+            terms.append((rec.u * terms[-1] + rec.v * terms[-2]) % p)
+        for a in range(1, 2 * p):
+            for b in range(pre + per):
+                spec = general_affine(rec, a, b)
+                reference = full_scan_reference(TableSequence(tuple(terms[b::a][:count])), p, digit_bound)
+                assert lp_bruteforce(spec, p, digit_bound) == reference, (rec, a, b)
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_row_bound_matches_full_scan_for_power_bases(p):
+    # bases c <= p + 1 reach c = 0 mod p (1, 0, 0, ...) and c = 1 mod p
+    for base in range(p + 2):
+        spec = PowerSequence(base)
+        for digit_bound in (2, 3):
+            assert lp_bruteforce(spec, p, digit_bound) == full_scan_reference(spec, p, digit_bound)
+
+
+def test_power_scan_at_a_large_prime_is_fast():
+    # the period certificate allowed p**2 = 1e12 terms here; two rows read 2p
+    start = time.perf_counter()
+    verdict = lp_bruteforce(PowerSequence(3), 1000003, 2)
+    assert time.perf_counter() - start < 5.0
+    assert verdict == LPVerdict(True, 1000003, 2)
 
 
 def test_early_failure_at_a_large_prime_is_fast():
