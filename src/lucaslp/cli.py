@@ -319,16 +319,16 @@ def _cmd_lp_check(args):
 def _cmd_theorem(args):
     fam, (rec,), reading = _affine(args, _BY_THEOREM[args.which], "--which {theorem}")
     p = args.prime
-    index_map = AffineIndexMap(args.a, args.b)
+    AffineIndexMap(args.a, args.b)  # refuses a < 1 and b < 0
     inputs = {"theorem": fam.theorem, "prime": int(p), "a": args.a, "b": args.b}
     row = dict(inputs)
     if reading:
         row["reading"] = reading
     if fam.rec is None:
         row["rec"] = rec.as_string()
-    residues = fam.vanishing(rec, args.a, p), fam.seed(rec, args.b, p, reading)
-    row.update(zip(fam.clauses, residues))
-    row["condition"] = condition = fam.criterion(rec, index_map, p, reading)
+    vanishing, seed = fam.vanishing(rec, args.a, p), fam.seed(rec, args.b, p, reading)
+    row.update(zip(fam.clauses, (vanishing, seed)))
+    row["condition"] = condition = vanishing == 0 and seed == 1
     return Report("theorem", inputs, [row]), (0 if condition else 1)
 
 

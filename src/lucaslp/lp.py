@@ -21,19 +21,21 @@ Every affine subsequence S(n) = A(a*n + b) of a second-order recurrence is
 one `AffineSequence`; a family table maps "fib", "lucas" and "general" to
 their recurrence and their criterion, a vanishing residue that must be 0
 and a seed residue that must be 1 mod p. A single in-process sweep drives
-the crossval entry points and the valid-offset enumeration. A(n) mod p is
-ultimately periodic, so for b past the preperiod the residues of S depend
-only on (a mod period, b folded into the period): the sweep scans each such
-residue class once and reuses the verdict for every cell in it.
+the crossval entry points and the valid-offset enumeration. S satisfies
+x^2 - tr(M^a)*x + det(M^a) mod p from n = 0 on, so the key
+(p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue of S: the sweep
+scans each key once and reuses the verdict for every cell with that key,
+across recurrences too. It reads the vanishing residue once per stride and
+the seed residue once per offset.
 
 A sequence that vanishes identically mod p satisfies the congruence
-vacuously. Those cells say nothing about the criteria, so sweeps flag them
-and keep them out of both the disagreement count and the valid-b sets.
+vacuously; by the same recurrence it does so exactly when S(0) = S(1) = 0.
+Those cells say nothing about the criteria, so sweeps flag them and keep
+them out of both the disagreement count and the valid-b sets.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice
 from math import gcd
 from typing import Callable, NamedTuple
@@ -45,6 +47,7 @@ from .sequences import (
     PELL,
     LinearRecurrence,
     PeriodInfo,
+    _mat_pow,
     _stride_terms,
     fib_mod,
     lucas_mod,
@@ -131,6 +134,11 @@ class SequenceSpec:
 
     __slots__ = ()
 
+    # the order k of a recurrence S satisfies mod every p from n = 0 on, or
+    # None: k zeros in a row then force all zeros, and the oracle's row bound
+    # is k + 1 (see `lp_bruteforce`)
+    _order = None
+
     def __eq__(self, other):
         if type(other) is type(self):
             return tuple.__eq__(self, other)
@@ -163,14 +171,6 @@ class SequenceSpec:
         raise NotImplementedError
 
 
-# period_mod factors p - 1 and p + 1, which dominates at large p, and each
-# entry is two ints; period_mod is looked up at call time, so rebinding it on
-# the module reaches this cache
-@lru_cache(maxsize=64)
-def _period(rec: LinearRecurrence, p: int) -> PeriodInfo:
-    return period_mod(rec, p)
-
-
 class AffineSequence(
     SequenceSpec,
     NamedTuple(
@@ -186,6 +186,7 @@ class AffineSequence(
     """
 
     __slots__ = ()
+    _order = 2
 
     def iter_residues(self, p, count):
         return _stride_terms(self.rec, self.index_map.a, self.index_map.b, int(Prime(p)), count)
@@ -194,7 +195,7 @@ class AffineSequence(
         # A(n) mod p repeats with period per from pre <= 2 on; every index
         # a*n + b with n >= pre is past pre, and a step of per // gcd(a, per)
         # in n moves a*n + b by a multiple of per
-        pre, per = _period(self.rec, int(Prime(p)))
+        pre, per = period_mod(self.rec, int(Prime(p)))
         return PeriodInfo(pre, per // gcd(self.index_map.a, per))
 
     def describe(self):
@@ -210,6 +211,7 @@ class PowerSequence(SequenceSpec, NamedTuple("PowerSequence", [("base", int)])):
 
     __slots__ = ()
     variant = "power"
+    _order = 1
 
     def iter_residues(self, p, count):
         p = int(Prime(p))
@@ -370,10 +372,8 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
         raise ValueError(f"digit_bound must be >= 2, got {digit_bound}")
     pi = int(p)
     rows = pi ** (digit_bound - 1)  # values of m = n // p the scan reaches
-    if isinstance(spec, AffineSequence):
-        rows = min(rows, 3)
-    elif isinstance(spec, PowerSequence):
-        rows = min(rows, 2)
+    if spec._order:
+        rows = min(rows, spec._order + 1)
     it = spec.iter_residues(p, rows * pi)
     head = list(islice(it, pi))
     prods = list(head)  # digit products of m = 0, 1, ...; the scan reads m < rows
@@ -395,10 +395,12 @@ def sequence_is_zero_mod(spec: SequenceSpec, p, digit_bound: int = 3) -> bool:
     """True when S(n) is 0 mod p for every n the oracle would scan.
 
     Such a sequence passes the oracle vacuously; callers use this to flag
-    those passes instead of counting them as evidence.
+    those passes instead of counting them as evidence. A spec of recurrence
+    order k is read for k terms at most, as k zeros force all zeros.
     """
     p = Prime(p)
-    return all(r == 0 for r in spec.iter_residues(p, int(p) ** digit_bound))
+    count = int(p) ** digit_bound
+    return all(r == 0 for r in spec.iter_residues(p, min(count, spec._order or count)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +410,17 @@ def sequence_is_zero_mod(spec: SequenceSpec, p, digit_bound: int = 3) -> bool:
 def lemma1_check(spec: SequenceSpec, p, scan: int | None = None):
     """Necessary condition S(0) = 1 mod p; None when S is identically zero.
 
-    Scans S on [0, scan) (default p**3). An identically-zero sequence
-    satisfies the congruence vacuously without S(0) = 1, so it gets the
-    separate inapplicable answer None rather than True or False.
+    Scans S on [0, scan) (default p**3), or on its first k terms for a spec
+    of recurrence order k, as k zeros force all zeros. An identically-zero
+    sequence satisfies the congruence vacuously without S(0) = 1, so it gets
+    the separate inapplicable answer None rather than True or False.
     """
     p = Prime(p)
     if scan is None:
         scan = int(p) ** 3
     if scan < 1:
         raise ValueError(f"scan must be >= 1, got {scan}")
-    it = spec.iter_residues(p, scan)
+    it = spec.iter_residues(p, min(scan, spec._order or scan))
     first = next(it)
     if first != 0:
         return first == 1
@@ -507,50 +510,37 @@ class _Family(NamedTuple):
     clauses: tuple[str, str]  # report columns of the vanishing and the seed residue
     vanishing: Callable  # (rec, a, p) -> the residue mod p that must be 0
     seed: Callable  # (rec, b, p, reading) -> the residue mod p that must be 1
-    criterion: Callable  # (rec, index_map, p, reading) -> bool
     crossval: Callable  # (recs, primes, a_values, b_values, reading, digits) -> report
 
 
-# a sweep reads one recurrence at a time, for every cell of its grid
-@lru_cache(maxsize=16)
-def _shift(rec: LinearRecurrence) -> tuple[LinearRecurrence, int]:
-    """Theorem 3's s(k) and the stride-free part of its vanishing factor.
-
-    s(k) is the recurrence with seeds (1, u) and A's coefficients (u, v);
-    the factor is v * (v A0^2 + u A0 A1 - A1^2).
-    """
-    return LinearRecurrence(1, rec.u, rec.u, rec.v), rec.v * rec.seed_discriminant()
-
-
 def _theorem3_vanishing(rec: LinearRecurrence, a: int, p) -> int:
-    s_rec, factor = _shift(rec)
-    return factor * rec_term(s_rec, a - 1, p) % p
+    """v * s(a-1) * (v A0^2 + u A0 A1 - A1^2) mod p, where s(k) is the
+    recurrence with seeds (1, u) and A's coefficients (u, v)."""
+    s_rec = LinearRecurrence(1, rec.u, rec.u, rec.v)
+    return rec.v * rec.seed_discriminant() * rec_term(s_rec, a - 1, p) % p
 
 
-# Every residue takes O(log a + log b) multiplications mod p. The criteria,
-# crossval entry points and sequence functions are looked up by module-level
-# name at call time, so rebinding one of them on the module (as
-# perfbench/tracer.py does) reaches every user of this table.
+# Every residue takes O(log a + log b) multiplications mod p. The crossval
+# entry points and sequence functions are looked up by module-level name at
+# call time, so rebinding one of them on the module (as perfbench/tracer.py
+# does) reaches every user of this table.
 _FAMILIES = {
     "fib": _Family(
         1, FIBONACCI, "fib-affine", None, ("fib_a_mod_p", "fib_b_mod_p"),
         lambda rec, a, p: fib_mod(a, p),
         lambda rec, b, p, reading: fib_mod(b, p),
-        lambda rec, m, p, reading: theorem1_condition(m, p),
         lambda recs, primes, a, b, reading, d: crossval_theorem1(primes, a, b, d),
     ),
     "lucas": _Family(
         2, LUCAS_NUMBERS, "lucas-affine", AS_PROVED, ("five_fib_a_mod_p", "seed_term_mod_p"),
         lambda rec, a, p: 5 * fib_mod(a, p) % p,
         lambda rec, b, p, reading: (lucas_mod if reading == AS_PROVED else fib_mod)(b, p),
-        lambda rec, m, p, reading: theorem2_condition(m, p, reading),
         lambda recs, primes, a, b, reading, d: crossval_theorem2(primes, a, b, reading, d),
     ),
     "general": _Family(
         3, None, "general-affine", None, ("vanishing_factor_mod_p", "term_b_mod_p"),
         _theorem3_vanishing,
         lambda rec, b, p, reading: rec_term(rec, b, p),
-        lambda rec, m, p, reading: theorem3_condition(rec, m, p),
         lambda recs, primes, a, b, reading, d: crossval_theorem3(recs, primes, a, b, d),
     ),
 }
@@ -597,7 +587,7 @@ def enumerate_valid_b(
     base_rec = _FAMILIES[family].rec or rec
     if base_rec is None:
         raise ValueError("family 'general' needs an explicit recurrence")
-    info = _period(base_rec, int(p))
+    info = period_mod(base_rec, p)
     cells = _sweep(
         family, (base_rec,), (p,), (a,), range(info.preperiod + info.period), digit_bound,
         AS_PROVED,
@@ -693,55 +683,51 @@ THEOREM3_DEFAULT_RECS = (
 )
 
 
-def _residue_class(info: PeriodInfo, a: int, b: int) -> tuple[int, int]:
-    """Key shared by every (a, b) whose S(n) = A(a*n + b) has the same residues.
-
-    Once b is past the preperiod so is every index a*n + b, and those fold
-    with the period; before it, the indices are taken literally.
-    """
-    if b < info.preperiod:
-        return a, b
-    return a % info.period, info.preperiod + (b - info.preperiod) % info.period
-
-
 def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
     """Criterion and oracle over every (rec, prime, a, b), in that nesting order.
 
-    Cells in one residue class share a single oracle scan. A holding scan
-    whose first p terms are 0 mod p is 0 at every index it scanned, because
-    it checked S(n) = S(n // p) * S(n % p) for all of them; so the
-    identically-zero flag costs p terms rather than a second full scan.
+    S(n) = A(a*n + b) satisfies x^2 - tr(M^a)*x + det(M^a) mod p from n = 0
+    on, M the companion matrix of A (see `lp_bruteforce`), so the key
+    (p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue the oracle
+    reads: cells with equal keys share one scan, whatever their recurrence,
+    and S vanishes identically exactly when S(0) = S(1) = 0. S(1) = A(a + b)
+    is the bottom row of M^a applied to (A(b+1), A(b)).
     """
     fam = _FAMILIES[family]
-    primes = [Prime(p) for p in primes]
+    recs, primes = tuple(recs), [Prime(p) for p in primes]
     a_values, b_values = tuple(a_values), tuple(b_values)
+    if not (recs and primes and a_values and b_values):
+        return AgreementReport(fam.theorem, reading, digit_bound, ())
+    # AffineIndexMap's error for the first cell, in sweep order, that it
+    # refuses: it checks the stride first
+    first_bad_b = next((b for b in b_values if b < 0), 0)
+    for a in a_values:
+        AffineIndexMap(a, first_bad_b)
     scans = {}
     cells = []
     for rec in recs:
+        cell_rec = rec if fam.rec is None else None  # only general names it per cell
         for p in primes:
-            info = _period(rec, int(p))
+            pi = int(p)
+            starts = [
+                (rec_term(rec, b, p), rec_term(rec, b + 1, p), fam.seed(rec, b, p, reading) == 1)
+                for b in b_values
+            ]
             for a in a_values:
-                for b in b_values:
-                    index_map = AffineIndexMap(a, b)
-                    key = (rec, p, _residue_class(info, a, b))
-                    if key not in scans:
-                        spec = AffineSequence(rec, index_map, fam.variant)
-                        verdict = lp_bruteforce(spec, p, digit_bound)
-                        scans[key] = verdict, verdict.holds and sequence_is_zero_mod(spec, p, 1)
-                    verdict, zero = scans[key]
-                    cells.append(
-                        GridCell(
-                            prime=int(p),
-                            a=a,
-                            b=b,
-                            predicted=fam.criterion(rec, index_map, p, reading),
-                            oracle_holds=verdict.holds,
-                            identically_zero=zero,
-                            # only the general family names its recurrence per cell
-                            rec=rec if fam.rec is None else None,
-                            counterexample=verdict.counterexample,
-                        )
-                    )
+                m0, m1, m2, m3 = _mat_pow((rec.u, rec.v, 1, 0), a, pi)
+                trace, det = (m0 + m3) % pi, (m0 * m3 - m1 * m2) % pi
+                vanishes = fam.vanishing(rec, a, p) == 0
+                for b, (s0, y, seed_is_one) in zip(b_values, starts):
+                    s1 = (m2 * y + m3 * s0) % pi
+                    key = (pi, s0, s1, trace, det)
+                    verdict = scans.get(key)
+                    if verdict is None:
+                        spec = AffineSequence(rec, AffineIndexMap(a, b), fam.variant)
+                        verdict = scans[key] = lp_bruteforce(spec, p, digit_bound)
+                    cells.append(GridCell(
+                        pi, a, b, vanishes and seed_is_one, verdict.holds, s0 == s1 == 0,
+                        cell_rec, verdict.counterexample,
+                    ))
     return AgreementReport(fam.theorem, reading, digit_bound, tuple(cells))
 
 

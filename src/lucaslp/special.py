@@ -4,28 +4,31 @@ Both sequences are defined through binomial sums, so their residues mod p
 come from digitwise binomials rather than from reducing huge integers.
 
 The residue sums skip only terms that are 0 mod p, and sum every other term
-of the defining sum; they never assume the digit-product (Lucas) form they
-are used to test. With n_i the base-p digits of n:
+of the defining sum. With n_i the base-p digits of n:
 
 - Apery, sum over k of C(n, k)^2 C(n+k, k)^2: by Lucas's theorem C(n, k) is
   0 mod p unless k_i <= n_i in every digit, and by Kummer's theorem
   C(n+k, k) is 0 mod p when adding n and k in base p carries, that is
   unless k_i <= p-1-n_i in every digit. So only the box
-  k_i <= min(n_i, p-1-n_i) is summed, ∏(min(n_i, p-1-n_i)+1) terms.
+  k_i <= min(n_i, p-1-n_i) is summed, ∏(min(n_i, p-1-n_i)+1) terms. By
+  distributivity over this product of digit ranges the sum equals
+  ∏ apery_mod(n_i, p), the digit-product (Lucas) form itself, so the
+  oracle cannot fail on AperySequence whatever A(n) is.
 - omega, whose convolution term for w(m) carries C(m, k)^2: only the k with
   k_i <= m_i in every digit are summed. They are summed one digit group at
   a time: with m = p*h + m0, the terms whose k has a nonzero upper part
   k_h form one p-vector per group of p indices, built from the digit box
   of h (∏(h_i+1) - 1 table slices), and each index adds the rest with one
   dot product of length m0+1. This regroups the defining sum by
-  distributivity; it never forms a product of earlier terms.
+  distributivity; it never forms a product of earlier terms, so it never
+  assumes the digit-product form the oracle tests.
 
 On the box every binomial is a product of digit binomials, each
 d!/(k!(d-k)!) read from factorial and inverse-factorial tables mod p, which
 hold O(p) residues, and are built only up to the largest digit asked for
-(omega reads all p). The Apery box is walked lazily, so memory stays
-O(p * digits) for any n. Time does not: an index whose digits sit near p/2
-still costs time exponential in its digit count.
+(omega reads all p once n >= p). The Apery box is walked lazily, so
+memory stays O(p * digits) for any n. Time does not: an index whose
+digits sit near p/2 still costs time exponential in its digit count.
 """
 
 from __future__ import annotations
@@ -99,17 +102,22 @@ class _OmegaResidues:
     The k_h != 0 part reads w only below p*h: it is built once per group,
     from the digit box of h, one p-slice of the table per box term. The
     k_h = 0 part is added as each w(p*h + j) is found. So each index costs
-    one dot product, and the table only grows up to the largest n asked.
+    one dot product, and the table only grows up to the largest n asked;
+    below n = p, so do the factorial, signed and group vectors.
     """
 
     def __init__(self, p: int):
         self.p = p
-        self.fact, self.inv_fact = _factorials_upto(p, p - 1)
-        self.signed = [
-            (-f * f if t % 2 else f * f) % p for t, f in enumerate(self.inv_fact)
-        ]
         self.table = [1 % p]
-        self.group = [1 % p] + [0] * (p - 1)  # group 0, holding w(0)
+        self.signed, self.group = [], [1 % p]  # group 0, holding w(0); see upto
+
+    def _cover(self, size: int) -> None:
+        # grow the vectors to cover the digits below size <= p
+        p, have = self.p, len(self.signed)
+        self.fact, self.inv_fact = _factorials_upto(p, size - 1)
+        tail = enumerate(self.inv_fact[have:size], have)
+        self.signed += [(-f * f if t % 2 else f * f) % p for t, f in tail]
+        self.group += [0] * (size - len(self.group))
 
     def _start_group(self, h: int) -> None:
         p, table, fact, inv_fact = self.p, self.table, self.fact, self.inv_fact
@@ -138,7 +146,10 @@ class _OmegaResidues:
         self.group = list(map(mod, map(mul, acc, scale), repeat(p)))
 
     def upto(self, n: int) -> list[int]:
-        p, table, fact, signed = self.p, self.table, self.fact, self.signed
+        p, table = self.p, self.table
+        if len(self.signed) <= min(n, p - 1):
+            self._cover(min(n, p - 1) + 1)
+        fact, signed = self.fact, self.signed
         while len(table) <= n:
             h, m0 = divmod(len(table), p)
             if m0 == 0:

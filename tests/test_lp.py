@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucaslp.modmath import Prime, digits_base_p, primes_upto
+import lucaslp.lp as lp_module
+import lucaslp.sequences as sequences_module
 from lucaslp.lp import (
     AS_PROVED,
     AS_STATED,
@@ -434,6 +436,42 @@ def test_identically_zero_holds_vacuously():
     assert not sequence_is_zero_mod(fib_affine(5, 1), 5, 3)
 
 
+def test_zero_checks_at_a_large_prime_are_fast():
+    # a full-length read would ask for p**2 = 1e12 terms, and lemma1_check
+    # for p**3; an order-2 spec needs two
+    spec = general_affine(LinearRecurrence(0, 0, 1, 1), 1, 0)
+    for check, want in [(lambda: sequence_is_zero_mod(spec, 1000003, 2), True),
+                        (lambda: lemma1_check(spec, 1000003), None),
+                        (lambda: sequence_is_zero_mod(PowerSequence(1000003), 1000003), False),
+                        (lambda: lemma1_check(fib_affine(1, 0), 1000003), False)]:
+        start = time.perf_counter()
+        assert check() is want
+        assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def recurrence_specs(draw):
+    """Affine and power specs mod p <= 7, zero seeds and p | base in reach."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    if draw(st.booleans()):
+        rec = LinearRecurrence(*(draw(st.integers(-6, 6)) for _ in range(4)))
+        spec = general_affine(rec, draw(st.integers(1, 20)), draw(st.integers(0, 20)))
+    else:
+        spec = PowerSequence(draw(st.sampled_from([0, p]) | st.integers(-9, 9)))
+    return spec, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(recurrence_specs(), st.integers(1, 3), st.none() | st.integers(1, 400))
+def test_zero_checks_equal_full_length_reads(case, digit_bound, scan):
+    spec, p = case
+    residues = spec.residues(p, max(p**3, scan or 0))
+    assert sequence_is_zero_mod(spec, p, digit_bound) == (not any(residues[:p**digit_bound]))
+    head = residues[:p**3 if scan is None else scan]
+    want = None if not any(head) else False if head[0] != 1 else True
+    assert lemma1_check(spec, p, scan) is want
+
+
 # ---------------------------------------------------------------------------
 # lemma checks and closed forms
 
@@ -719,20 +757,30 @@ def reference_cells(family, recs, reading):
     return cells
 
 
-@pytest.mark.parametrize(
-    "family, reading",
-    [("fib", None), ("lucas", AS_PROVED), ("lucas", AS_STATED), ("general", None)],
-)
-def test_sweep_matches_per_cell_reference(family, reading):
+SWEEP_CASES = [("fib", None), ("lucas", AS_PROVED), ("lucas", AS_STATED), ("general", None)]
+
+
+def sweep_grid(family, reading):
+    """(recs, report) of the crossval entry point of `family` on the sweep grid."""
     if family == "fib":
-        recs = (FIBONACCI,)
-        report = crossval_theorem1(SWEEP_PRIMES, SWEEP_A, SWEEP_B)
-    elif family == "lucas":
-        recs = (LUCAS_NUMBERS,)
-        report = crossval_theorem2(SWEEP_PRIMES, SWEEP_A, SWEEP_B, reading)
-    else:
-        recs = PREPERIOD_RECS + (THEOREM3_DEFAULT_RECS[-1],)
-        report = crossval_theorem3(recs, SWEEP_PRIMES, SWEEP_A, SWEEP_B)
+        return (FIBONACCI,), crossval_theorem1(SWEEP_PRIMES, SWEEP_A, SWEEP_B)
+    if family == "lucas":
+        return (LUCAS_NUMBERS,), crossval_theorem2(SWEEP_PRIMES, SWEEP_A, SWEEP_B, reading)
+    recs = PREPERIOD_RECS + (THEOREM3_DEFAULT_RECS[-1],)
+    return recs, crossval_theorem3(recs, SWEEP_PRIMES, SWEEP_A, SWEEP_B)
+
+
+def report_tuples(report, recs):
+    return [
+        (c.rec or recs[0], c.prime, c.a, c.b, c.predicted, c.oracle_holds,
+         c.identically_zero, c.counterexample)
+        for c in report.cells
+    ]
+
+
+@pytest.mark.parametrize("family, reading", SWEEP_CASES)
+def test_sweep_matches_per_cell_reference(family, reading):
+    recs, report = sweep_grid(family, reading)
     expected = reference_cells(family, recs, reading)
     if family == "general":
         # some cells with b inside a positive preperiod have strides congruent
@@ -745,12 +793,100 @@ def test_sweep_matches_per_cell_reference(family, reading):
                 verdicts.setdefault((rec, p, a % per, b), set()).add(counterexample)
         assert any(len(found) > 1 for found in verdicts.values())
     assert all((c.rec is None) == (family != "general") for c in report.cells)
-    got = [
-        (c.rec or recs[0], c.prime, c.a, c.b, c.predicted, c.oracle_holds,
-         c.identically_zero, c.counterexample)
-        for c in report.cells
-    ]
-    assert got == expected
+    assert report_tuples(report, recs) == expected
+
+
+@pytest.mark.parametrize("family, reading", SWEEP_CASES)
+def test_sweep_reads_no_period_zero_scan_or_criterion(monkeypatch, family, reading):
+    # the reference reads this module's own imports, which stay unpatched
+    recs = sweep_grid(family, reading)[0]
+    expected = reference_cells(family, recs, reading)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep must not call this")
+
+    for module in (lp_module, sequences_module):
+        monkeypatch.setattr(module, "period_mod", refuse)
+    for name in ("sequence_is_zero_mod", "theorem1_condition", "theorem2_condition",
+                 "theorem3_condition"):
+        monkeypatch.setattr(lp_module, name, refuse)
+    assert report_tuples(sweep_grid(family, reading)[1], recs) == expected
+
+
+def mat_pow_reference(u, v, a, p):
+    """[[u, v], [1, 0]]**a mod p by a multiplications."""
+    m = (1, 0, 0, 1)
+    for _ in range(a):
+        m = ((m[0] * u + m[1]) % p, m[0] * v % p, (m[2] * u + m[3]) % p, m[2] * v % p)
+    return m
+
+
+def sweep_key(rec, p, a, b):
+    """(p, S(0), S(1), tr M^a, det M^a) for S(n) = A(a*n + b), from exact terms."""
+    m = mat_pow_reference(rec.u, rec.v, a, p)
+    det = (-rec.v) ** a % p
+    return p, rec_term(rec, b) % p, rec_term(rec, a + b) % p, (m[0] + m[3]) % p, det
+
+
+def test_sweep_scans_once_per_distinct_key(monkeypatch):
+    # 0,8,8,1 equals Fibonacci mod 7, so the two share every key at p = 7
+    recs = (FIBONACCI, LinearRecurrence(0, 8, 8, 1), *PREPERIOD_RECS)
+    calls = []
+
+    def counting(spec, p, digit_bound=3):
+        calls.append((spec, p))
+        return lp_bruteforce(spec, p, digit_bound)
+
+    monkeypatch.setattr(lp_module, "lp_bruteforce", counting)
+    report = crossval_theorem3(recs, SWEEP_PRIMES, SWEEP_A, SWEEP_B)
+    keys = {sweep_key(c.rec, c.prime, c.a, c.b) for c in report.cells}
+    per_rec = {(c.rec, sweep_key(c.rec, c.prime, c.a, c.b)) for c in report.cells}
+    assert len(calls) == len(keys) < len(per_rec)
+    assert len(report.cells) == len(recs) * len(SWEEP_PRIMES) * len(SWEEP_A) * len(SWEEP_B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-6, 6)] * 4), min_size=1, max_size=3),
+    st.sampled_from([2, 3, 5, 7]),
+    st.lists(st.integers(1, 30), min_size=1, max_size=5),
+    st.lists(st.integers(0, 30), min_size=1, max_size=5),
+)
+def test_sweep_matches_per_cell_scans_on_random_recurrences(data, p, a_values, b_values):
+    # coefficients in [-6, 6] put p | v, zero seeds and repeated cells in reach
+    recs = [LinearRecurrence(*d) for d in data]
+    report = crossval_theorem3(recs, (p,), a_values, b_values)
+    expected = []
+    for rec in recs:
+        for a in a_values:
+            for b in b_values:
+                spec = general_affine(rec, a, b)
+                verdict = full_scan_reference(spec, p, 3)
+                zero = all(r == 0 for r in spec.residues(p, p**3))
+                predicted = theorem3_condition(rec, AffineIndexMap(a, b), p)
+                expected.append((rec, p, a, b, predicted, verdict.holds, zero,
+                                 verdict.counterexample))
+    assert report_tuples(report, recs) == expected
+
+
+def test_sweep_refuses_bad_strides_and_offsets_and_skips_empty_grids():
+    for a_values, b_values, message in [
+        ((0,), (1,), "stride a must be >= 1, got 0"),
+        ((1, 0), (2, -1), "offset b must be >= 0, got -1"),  # the cell (1, -1) comes first
+        ((0, 1), (2, -1), "stride a must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            crossval_theorem1((5,), a_values, b_values)
+    with pytest.raises(ValueError, match="offset b must be >= 0, got -1"):
+        crossval_theorem3((PELL,), (3,), (2,), (-1,))
+    for report in (
+        crossval_theorem1((5,), (0,), ()),
+        crossval_theorem1((5,), (), (-1,)),
+        crossval_theorem1((), (0,), (-1,)),
+        crossval_theorem2((3,), range(1, 1), range(5), AS_STATED),
+        crossval_theorem3((), (5,), (1,), (0,)),
+    ):
+        assert report.cells == ()
 
 
 @st.composite

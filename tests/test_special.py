@@ -151,6 +151,32 @@ def test_small_queries_at_a_large_prime_do_no_quadratic_work():
         assert elapsed < 1.0, (modular.__name__, n, elapsed)
 
 
+def test_omega_at_a_large_prime_grows_its_vectors_only_to_n():
+    # p-entry factorial, signed and group vectors peaked at 145 MB RSS for
+    # `special --seq omega --n 3 --prime 1000003`
+    p = 1000003
+    _factorials_mod.cache_clear()
+    _omega_mod_residues.cache_clear()
+    tracemalloc.start()
+    try:
+        values = [omega_mod(n, p) for n in range(4)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values == [omega_mod_reference(n, p) for n in range(4)] == [1, 1, 3, 19]
+    assert peak < 100_000
+    state = _omega_mod_residues(p)
+    assert len(state.signed) == len(state.group) == 4
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 11])
+def test_omega_vectors_grow_across_the_first_group(p):
+    # small queries first, then one that starts groups h >= 1
+    _omega_mod_residues.cache_clear()
+    for n in (0, 1, 3, p - 2, p - 1, p, 3 * p + 1, 2, p * p + 3):
+        assert omega_mod(n, p) == omega_mod_reference(n, p), (n, p)
+
+
 def test_small_digits_at_a_large_prime_build_small_factorial_tables():
     # full tables at this prime held 2p residues, 108 MB peak RSS for two
     # digit binomials; only the entries up to the largest digit are needed
