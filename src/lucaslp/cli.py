@@ -417,26 +417,26 @@ def _cmd_identity(args):
     )
     if which in ("catalan", "lucas-catalan"):
         residual = catalan_residual if which == "catalan" else lucas_catalan_residual
-        pairs = [
+        pairs = (
             (f"n={n},r={r}", (n, r)) for n in range(n_max + 1) for r in range(n + 1)
-        ]
+        )
         rows = [{"identity": which, "n_max": n_max, **_sweep_residuals(pairs, residual)}]
     else:
         rows = []
         for rec in recs:
             if which == "general":
-                pairs = [
+                pairs = (
                     (f"n={n},r={r}", (rec, n, r))
                     for n in range(1, n_max + 1)
                     for r in range(1, n + 1)
-                ]
+                )
                 stats = _sweep_residuals(pairs, general_catalan_residual)
             else:
-                pairs = [
+                pairs = (
                     (f"n+r={m},k={k}", (rec, m, 0, k))
                     for m in range(1, n_max + 1)
                     for k in range(m)
-                ]
+                )
                 stats = _sweep_residuals(pairs, shift_identity_residual)
             rows.append({"identity": which, "rec": rec.as_string(), "n_max": n_max, **stats})
     total_nonzero = sum(r["nonzero"] for r in rows)

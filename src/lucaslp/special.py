@@ -2,40 +2,34 @@
 
 Both sequences are defined through binomial sums, so their residues mod p
 come from digitwise binomials rather than from reducing huge integers.
+With n_i the base-p digits of n:
 
-The residue sums skip only terms that are 0 mod p, and sum every other term
-of the defining sum. With n_i the base-p digits of n:
-
-- Apery, sum over k of C(n, k)^2 C(n+k, k)^2: by Lucas's theorem C(n, k) is
-  0 mod p unless k_i <= n_i in every digit, and by Kummer's theorem
-  C(n+k, k) is 0 mod p when adding n and k in base p carries, that is
-  unless k_i <= p-1-n_i in every digit. So only the box
-  k_i <= min(n_i, p-1-n_i) is summed, ∏(min(n_i, p-1-n_i)+1) terms. By
-  distributivity over this product of digit ranges the sum equals
-  ∏ apery_mod(n_i, p), the digit-product (Lucas) form itself, so the
-  oracle cannot fail on AperySequence whatever A(n) is.
+- Apery: apery_mod(n, p) is the product of apery(n_i) mod p over the
+  digits, the Lucas property of the Apery numbers (Gessel, J. Number
+  Theory 14, 1982). For a digit d, the sum over k of C(d, k)^2 C(d+k, k)^2
+  stops at k = min(d, p-1-d), as C(d+k, k) is 0 mod p once d+k >= p
+  (Kummer's theorem). So an index costs O(p) per digit. The oracle does
+  not read this route: AperySequence steps Apery's recurrence on exact
+  integers instead, as a route that uses the property would confirm it
+  whatever the sequence does.
 - omega, whose convolution term for w(m) carries C(m, k)^2: only the k with
   k_i <= m_i in every digit are summed. They are summed one digit group at
   a time: with m = p*h + m0, the terms whose k has a nonzero upper part
   k_h form one p-vector per group of p indices, built from the digit box
-  of h (∏(h_i+1) - 1 table slices), and each index adds the rest with one
-  dot product of length m0+1. This regroups the defining sum by
+  of h (prod(h_i+1) - 1 table slices), and each index adds the rest with
+  one dot product of length m0+1. This regroups the defining sum by
   distributivity; it never forms a product of earlier terms, so it never
   assumes the digit-product form the oracle tests.
 
-On the box every binomial is a product of digit binomials, each
-d!/(k!(d-k)!) read from factorial and inverse-factorial tables mod p, which
-hold O(p) residues, and are built only up to the largest digit asked for
-(omega reads all p once n >= p). The Apery box is walked lazily, so
-memory stays O(p * digits) for any n. Time does not: an index whose
-digits sit near p/2 still costs time exponential in its digit count.
+Every digit binomial d!/(k!(d-k)!) is read from factorial and
+inverse-factorial tables mod p, which hold O(p) residues, and are built
+only up to the largest digit asked for (omega reads all p once n >= p).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product, repeat
-from math import prod
+from itertools import repeat
 from operator import add, mod, mul
 
 from .modmath import Prime, _factorials_upto, _max_digit, binomial_exact
@@ -44,22 +38,6 @@ __all__ = ["omega", "omega_mod", "apery", "apery_mod"]
 
 # Prefix table for the convolution recurrence, grown in place.
 _omega_table: list[int] = [1]
-
-
-def _digit_box(n: int, p: int, width, cell):
-    """Lazily walk the k with 0 <= k_i <= width(n_i) in every base-p digit of n.
-
-    Yields one tuple per k, holding cell(n_i, k_i, p**i) for each digit i;
-    n = 0 has no digits and yields one empty tuple, for k = 0. The order of
-    the k (k = 0 first) does not depend on cell.
-    """
-    columns = []
-    place = 1
-    while n:
-        n, d = divmod(n, p)
-        columns.append([cell(d, k, place) for k in range(width(d) + 1)])
-        place *= p
-    return product(*columns)
 
 
 def omega(n: int) -> int:
@@ -121,27 +99,22 @@ class _OmegaResidues:
 
     def _start_group(self, h: int) -> None:
         p, table, fact, inv_fact = self.p, self.table, self.fact, self.inv_fact
-
-        def full(d):
-            return d
-
-        # (-1)^k_h is the product of the (-1)^(k_i) over its digits for odd
-        # p, as every p^i is odd
-        def coefficient(d, k, place):
-            c = fact[d] * inv_fact[k] * inv_fact[d - k]
-            return -c * c if k % 2 else c * c
-
-        def complement(d, k, place):
-            return (d - k) * place * p
-
-        terms = zip(
-            map(prod, _digit_box(h, p, full, coefficient)),
-            map(sum, _digit_box(h, p, full, complement)),
-        )
-        next(terms)  # k_h = 0 reads the current group
+        # one (c(k_h), p*(h - k_h)) pair per k_h whose digits k_i <= h_i,
+        # grown a digit at a time with k_h = 0 first; prod(h_i + 1) <= h + 1
+        # pairs, fewer than the p*h table entries they read. (-1)^k_h is the
+        # product of the (-1)^(k_i) for odd p, as every p^i is odd
+        terms, place = [(1, 0)], p
+        while h:
+            h, d = divmod(h, p)
+            column = []
+            for k in range(d + 1):
+                c = fact[d] * inv_fact[k] * inv_fact[d - k]
+                column.append((-c * c if k % 2 else c * c, (d - k) * place))
+            terms = [(c * e % p, s + t) for c, s in terms for e, t in column]
+            place *= p
         acc = [0] * p
-        for c, start in terms:
-            acc = list(map(add, acc, map(mul, repeat(c % p), table[start:start + p])))
+        for c, start in terms[1:]:  # k_h = 0 reads the current group
+            acc = list(map(add, acc, map(mul, repeat(c), table[start:start + p])))
         scale = map(mul, inv_fact, inv_fact)
         self.group = list(map(mod, map(mul, acc, scale), repeat(p)))
 
@@ -175,7 +148,6 @@ def omega_mod(n: int, p) -> int:
     return _omega_mod_residues(p).upto(n)[n]
 
 
-@lru_cache(maxsize=256)
 def apery(n: int) -> int:
     """Apery number: sum over k of C(n, k)^2 C(n+k, k)^2."""
     if n < 0:
@@ -187,20 +159,20 @@ def apery(n: int) -> int:
 
 
 def apery_mod(n: int, p) -> int:
-    """Apery number mod p, summed over the carry-free digit box of n."""
+    """Apery number mod p: the product of apery(d) mod p over the base-p digits d of n."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     p = int(Prime(p))
-
-    def carry_free(d):
-        return min(d, p - 1 - d)
-
-    # d + carry_free(d) grows with d, and the box reads factorials up to it
+    # d + min(d, p-1-d) grows with d, and the digit sums read factorials up to it
     top = _max_digit(n, p)
-    fact, inv_fact = _factorials_upto(p, top + carry_free(top))
-
-    # C(d, k) C(d+k, k) = (d+k)! / (k!^2 (d-k)!), and d + k < p on the box
-    def term(d, k, place):
-        return (fact[d + k] * inv_fact[k] ** 2 * inv_fact[d - k]) ** 2 % p
-
-    return sum(map(prod, _digit_box(n, p, carry_free, term))) % p
+    fact, inv_fact = _factorials_upto(p, min(2 * top, p - 1))
+    value = 1
+    while n:
+        n, d = divmod(n, p)
+        # C(d, k) C(d+k, k) = (d+k)! / (k!^2 (d-k)!)
+        digit = sum(
+            (fact[d + k] * inv_fact[k] ** 2 * inv_fact[d - k]) ** 2
+            for k in range(min(d, p - 1 - d) + 1)
+        )
+        value = value * digit % p
+    return value

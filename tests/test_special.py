@@ -4,12 +4,19 @@ The exact omega values are cross-checked against a second, structurally
 different oracle: inverting the defining power series over the rationals.
 """
 
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
+
+import lucaslp.lp
+import lucaslp.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -227,6 +234,39 @@ def test_apery_mod_large_index():
     # every digit is p-1, so only k = 0 is carry-free: one term, value 1,
     # where a walk over every k <= n could never finish
     assert apery_mod(13**40 - 1, 13) == 1
+
+
+def test_apery_mod_walks_digits_not_a_box():
+    # 40 digits of 15 at p = 31: a walk over the carry-free digit box of k
+    # reads 16^40 terms; a subprocess keeps a slow route from hanging the suite
+    script = (
+        "from lucaslp.special import apery_mod; "
+        "print(apery_mod(sum(15 * 31**i for i in range(40)), 31))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=5,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == apery(15) ** 40 % 31 == 5
+
+
+def test_apery_residues_step_the_recurrence():
+    for p in primes_upto(7):
+        assert AperySequence().residues(p, p**3) == [apery(n) % p for n in range(p**3)], p
+
+
+def test_apery_oracle_does_not_read_apery_mod(monkeypatch):
+    # the oracle reads A(n) whole, never the digit product it tests
+    def refuse(n, p):
+        raise AssertionError("apery_mod read by the oracle")
+
+    # lp must not hold its own reference to it either
+    monkeypatch.setattr(lucaslp.special, "apery_mod", refuse)
+    monkeypatch.setattr(lucaslp.lp, "apery_mod", refuse, raising=False)
+    for p in primes_upto(13):
+        assert lp_bruteforce(AperySequence(), p, 3).holds, p
 
 
 @st.composite
