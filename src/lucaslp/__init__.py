@@ -6,156 +6,23 @@ package pairs a literal brute-force oracle for that congruence with the
 closed-form criteria that predict it for Fibonacci, Lucas, and general
 second-order recurrences, and cross-validates the two routes against each
 other instead of trusting either one.
+
+The package namespace is the union of its layers' public names: each layer
+module lists them in its own `__all__`, republished here unchanged.
 """
 
-from .modmath import (
-    DigitExpansion,
-    NonInvertibleError,
-    Prime,
-    binomial_exact,
-    binomial_mod_lucas,
-    digits_base_p,
-    inverse_mod,
-    is_prime,
-    pow_mod,
-    primes_upto,
-)
-from .sequences import (
-    FIBONACCI,
-    LUCAS_NUMBERS,
-    PELL,
-    LinearRecurrence,
-    PeriodInfo,
-    ScanExhaustedError,
-    alpha,
-    fib,
-    fib_mod,
-    lucas_mod,
-    lucas_num,
-    period_mod,
-    rec_term,
-    s_poly,
-    t_poly,
-    term_table_mod,
-)
-from .identities import (
-    IndexOrderError,
-    catalan_residual,
-    general_catalan_residual,
-    lucas_catalan_residual,
-    shift_identity_residual,
-)
-from .special import apery, apery_mod, omega, omega_mod
-from .lp import (
-    AS_PROVED,
-    AS_STATED,
-    AffineIndexMap,
-    AffineSequence,
-    AgreementReport,
-    AperySequence,
-    BEnumeration,
-    Counterexample,
-    GridCell,
-    LPVerdict,
-    NotFoundWithinBoundError,
-    OmegaSequence,
-    PowerSequence,
-    SequenceSpec,
-    TableSequence,
-    TableTooShortError,
-    THEOREM3_DEFAULT_RECS,
-    corollary1_counterexample,
-    crossval_theorem1,
-    crossval_theorem2,
-    crossval_theorem3,
-    enumerate_valid_b,
-    fib_affine,
-    general_affine,
-    lemma1_check,
-    lemma2_check,
-    lemma3_closed_form,
-    lp_bruteforce,
-    lucas_affine,
-    sequence_is_zero_mod,
-    theorem1_condition,
-    theorem2_condition,
-    theorem3_condition,
-)
-from .cli import Report, CsvUnrepresentableError, format_report, run_cli
+from . import cli, identities, lp, modmath, sequences, special
+from .modmath import *
+from .sequences import *
+from .identities import *
+from .special import *
+from .lp import *
+from .cli import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DigitExpansion",
-    "NonInvertibleError",
-    "Prime",
-    "binomial_exact",
-    "binomial_mod_lucas",
-    "digits_base_p",
-    "inverse_mod",
-    "is_prime",
-    "pow_mod",
-    "primes_upto",
-    "FIBONACCI",
-    "LUCAS_NUMBERS",
-    "PELL",
-    "LinearRecurrence",
-    "PeriodInfo",
-    "ScanExhaustedError",
-    "alpha",
-    "fib",
-    "fib_mod",
-    "lucas_mod",
-    "lucas_num",
-    "period_mod",
-    "rec_term",
-    "s_poly",
-    "t_poly",
-    "term_table_mod",
-    "IndexOrderError",
-    "catalan_residual",
-    "general_catalan_residual",
-    "lucas_catalan_residual",
-    "shift_identity_residual",
-    "apery",
-    "apery_mod",
-    "omega",
-    "omega_mod",
-    "AS_PROVED",
-    "AS_STATED",
-    "AffineIndexMap",
-    "AffineSequence",
-    "AgreementReport",
-    "AperySequence",
-    "BEnumeration",
-    "Counterexample",
-    "GridCell",
-    "LPVerdict",
-    "NotFoundWithinBoundError",
-    "OmegaSequence",
-    "PowerSequence",
-    "SequenceSpec",
-    "TableSequence",
-    "TableTooShortError",
-    "THEOREM3_DEFAULT_RECS",
-    "corollary1_counterexample",
-    "crossval_theorem1",
-    "crossval_theorem2",
-    "crossval_theorem3",
-    "enumerate_valid_b",
-    "fib_affine",
-    "general_affine",
-    "lemma1_check",
-    "lemma2_check",
-    "lemma3_closed_form",
-    "lp_bruteforce",
-    "lucas_affine",
-    "sequence_is_zero_mod",
-    "theorem1_condition",
-    "theorem2_condition",
-    "theorem3_condition",
-    "Report",
-    "CsvUnrepresentableError",
-    "format_report",
-    "run_cli",
+    name
+    for layer in (modmath, sequences, identities, special, lp, cli)
+    for name in layer.__all__
 ]

@@ -42,9 +42,9 @@ from .lp import (
     enumerate_valid_b,
     lp_bruteforce,
 )
-from .special import apery, apery_mod, omega, omega_mod
+from .special import _apery_terms, _omega_terms, apery_mod, omega_mod
 
-__all__ = ["Report", "CsvUnrepresentableError", "format_report", "run_cli", "main"]
+__all__ = ["Report", "CsvUnrepresentableError", "format_report", "run_cli"]
 
 
 class CsvUnrepresentableError(ValueError):
@@ -447,17 +447,16 @@ def _cmd_identity(args):
 def _cmd_special(args):
     if args.n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
-    exact = apery if args.seq == "apery" else omega
-    modular = apery_mod if args.seq == "apery" else omega_mod
-    rows = []
-    for n in range(args.n_max + 1):
-        if args.prime is None:
-            rows.append({"n": n, "value": exact(n)})
-        else:
-            rows.append({"n": n, "prime": int(args.prime), "value_mod_p": modular(n, args.prime)})
+    indices = range(args.n_max + 1)
     inputs = {"seq": args.seq, "n_max": args.n_max}
-    if args.prime is not None:
-        inputs["prime"] = int(args.prime)
+    if args.prime is None:
+        # one exact stream: each row is one step of the recurrence or convolution
+        terms = _apery_terms() if args.seq == "apery" else _omega_terms()
+        rows = [{"n": n, "value": value} for n, value in zip(indices, terms)]
+    else:
+        modular = apery_mod if args.seq == "apery" else omega_mod
+        p = inputs["prime"] = int(args.prime)
+        rows = [{"n": n, "prime": p, "value_mod_p": modular(n, args.prime)} for n in indices]
     return Report("special", inputs, rows), 0
 
 

@@ -54,7 +54,7 @@ from .sequences import (
     period_mod,
     rec_term,
 )
-from .special import omega_mod
+from .special import _apery_terms, omega_mod
 
 __all__ = [
     "AS_PROVED",
@@ -233,11 +233,9 @@ class PowerSequence(SequenceSpec, NamedTuple("PowerSequence", [("base", int)])):
 class AperySequence(SequenceSpec, NamedTuple("AperySequence", [])):
     """S(n) = the nth Apery number.
 
-    Residues come from Apery's recurrence (n+1)^3 A(n+1) =
-    (34n^3 + 51n^2 + 27n + 5) A(n) - n^3 A(n-1), stepped on exact integers
-    and reduced mod p, so the oracle reads A(n) whole and not through the
-    digit product it tests. A(n) has about 5.1n bits, so count terms cost
-    time quadratic in count.
+    Residues are the exact terms of Apery's recurrence (`_apery_terms`)
+    reduced mod p, so the oracle reads A(n) whole and not through the digit
+    product it tests.
     """
 
     __slots__ = ()
@@ -245,11 +243,7 @@ class AperySequence(SequenceSpec, NamedTuple("AperySequence", [])):
 
     def iter_residues(self, p, count):
         p = int(Prime(p))
-        prev, cur = 0, 1  # A(-1) is multiplied by 0
-        for n in range(count):
-            yield cur % p
-            step = (34 * n**3 + 51 * n**2 + 27 * n + 5) * cur - n**3 * prev
-            prev, cur = cur, step // (n + 1) ** 3
+        return (term % p for term in islice(_apery_terms(), count))
 
     def describe(self):
         return {"variant": self.variant}
@@ -386,7 +380,7 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
         rows = min(rows, spec._order + 1)
     it = spec.iter_residues(p, rows * pi)
     head = list(islice(it, pi))
-    prods = list(head)  # digit products of m = 0, 1, ...; the scan reads m < rows
+    prods = head[:rows]  # digit products of m = 0, 1, ...; the scan reads m < rows
     append = prods.append
     n = pi
     for lhs in it:
@@ -446,13 +440,13 @@ def lemma2_check(spec: SequenceSpec, p, n_bound: int) -> bool:
         raise ValueError(f"n_bound must be >= 1, got {n_bound}")
     pi = int(p)
     it = spec.iter_residues(p, n_bound)
-    vals = list(it)
-    s1 = vals[1] if len(vals) > 1 else 1
-    expected = 1 % pi
-    for v in vals:
+    if next(it) != 1 % pi:
+        return False
+    s1 = expected = next(it, 1)
+    for v in it:
+        expected = expected * s1 % pi
         if v != expected:
             return False
-        expected = expected * s1 % pi
     return True
 
 

@@ -9,9 +9,9 @@ With n_i the base-p digits of n:
   Theory 14, 1982). For a digit d, the sum over k of C(d, k)^2 C(d+k, k)^2
   stops at k = min(d, p-1-d), as C(d+k, k) is 0 mod p once d+k >= p
   (Kummer's theorem). So an index costs O(p) per digit. The oracle does
-  not read this route: AperySequence steps Apery's recurrence on exact
-  integers instead, as a route that uses the property would confirm it
-  whatever the sequence does.
+  not read this route: AperySequence reduces `_apery_terms`, Apery's
+  recurrence stepped on exact integers, as a route that uses the property
+  would confirm it whatever the sequence does.
 - omega, whose convolution term for w(m) carries C(m, k)^2: only the k with
   k_i <= m_i in every digit are summed. They are summed one digit group at
   a time: with m = p*h + m0, the terms whose k has a nonzero upper part
@@ -24,20 +24,40 @@ With n_i the base-p digits of n:
 Every digit binomial d!/(k!(d-k)!) is read from factorial and
 inverse-factorial tables mod p, which hold O(p) residues, and are built
 only up to the largest digit asked for (omega reads all p once n >= p).
+
+The exact values come as streams, `_apery_terms` (the recurrence) and
+`_omega_terms` (the convolution), each holding its state only while it is
+read; `apery(n)` stays the definitional sum, the reference for the stream.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import count, islice, repeat
 from operator import add, mod, mul
 
 from .modmath import Prime, _factorials_upto, _max_digit, binomial_exact
 
 __all__ = ["omega", "omega_mod", "apery", "apery_mod"]
 
-# Prefix table for the convolution recurrence, grown in place.
-_omega_table: list[int] = [1]
+
+def _omega_terms():
+    """Yield w(0), w(1), ... exactly.
+
+    w(0) = 1, and w(m) for m >= 1 solves the convolution
+    sum over k of (-1)^k C(m, k)^2 w(m-k) = 0, with the row C(m, .) grown
+    from the last by Pascal's rule. The prefix table lives in the
+    generator, so it is freed with it.
+    """
+    table, row = [1], [1]
+    yield 1
+    while True:
+        row = [1, *map(add, row, row[1:]), 1]  # C(m, 0..m) for the next m
+        # (-1)^(k+1) C(m, k)^2 w(m-k) for k = 1..m: odd k add, even k subtract
+        terms = list(map(mul, map(mul, row[1:], row[1:]), reversed(table)))
+        w = sum(terms[0::2]) - sum(terms[1::2])
+        table.append(w)
+        yield w
 
 
 def omega(n: int) -> int:
@@ -48,16 +68,7 @@ def omega(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    table = _omega_table
-    while len(table) <= n:
-        m = len(table)
-        table.append(
-            sum(
-                (-1) ** (k + 1) * binomial_exact(m, k) ** 2 * table[m - k]
-                for k in range(1, m + 1)
-            )
-        )
-    return table[n]
+    return next(islice(_omega_terms(), n, None))
 
 
 class _OmegaResidues:
@@ -148,8 +159,25 @@ def omega_mod(n: int, p) -> int:
     return _omega_mod_residues(p).upto(n)[n]
 
 
+def _apery_terms():
+    """Yield A(0), A(1), ... exactly, from Apery's recurrence
+    (n+1)^3 A(n+1) = (34n^3 + 51n^2 + 27n + 5) A(n) - n^3 A(n-1).
+
+    A(n) has about 5.1n bits, so N terms cost time quadratic in N.
+    """
+    prev, cur = 0, 1  # A(-1) is multiplied by 0
+    for n in count():
+        yield cur
+        step = (34 * n**3 + 51 * n**2 + 27 * n + 5) * cur - n**3 * prev
+        prev, cur = cur, step // (n + 1) ** 3
+
+
 def apery(n: int) -> int:
-    """Apery number: sum over k of C(n, k)^2 C(n+k, k)^2."""
+    """Apery number: sum over k of C(n, k)^2 C(n+k, k)^2.
+
+    The definitional sum, O(n) big binomials per call: the reference the
+    recurrence stream `_apery_terms` is tested against.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return sum(

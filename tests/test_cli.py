@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import lucaslp.sequences
 from lucaslp import cli
 from lucaslp.cli import CsvUnrepresentableError, Report, format_report, run_cli
+from lucaslp.special import apery
 
 
 def run(capsys, *argv):
@@ -300,6 +301,47 @@ def test_special_subcommand(capsys):
     assert [r["value_mod_p"] for r in report["verdicts"]] == [
         v % 7 for v in [1, 1, 3, 19, 211, 3651, 90921]
     ]
+
+
+def run_special_apery(n_max):
+    # a child process, so a table built from O(n) sums per row (29 s at
+    # n = 1200) cannot hang the suite
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "lucaslp", "special", "--seq", "apery", "--n", str(n_max)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc, time.perf_counter() - start
+
+
+def test_special_apery_tabulates_from_the_recurrence():
+    proc, elapsed = run_special_apery(1200)
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 5.0
+    rows = json.loads(proc.stdout)["verdicts"]
+    assert [r["n"] for r in rows] == list(range(1201))
+    assert rows[1200]["value"] == apery(1200)
+
+
+@pytest.mark.skipif(
+    not getattr(sys.flags, "int_max_str_digits", 0),
+    reason="this Python renders integers of any length",
+)
+def test_special_apery_past_the_int_string_limit_exits_2_quickly():
+    # A(3000) has about 4600 digits, past the default 4300-digit limit of
+    # int-to-str conversion: the report cannot be rendered, and the command
+    # says so in one line once the table is built
+    proc, elapsed = run_special_apery(3000)
+    assert proc.returncode == 2
+    assert elapsed < 5.0
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: Exceeds the limit (4300 digits) for integer string conversion"
+    )
+    assert proc.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +676,8 @@ def test_python_m_runs_the_cli(capsys, module):
 
 
 # ---------------------------------------------------------------------------
-# golden bytes: stdout and exit code of every affine command in every format
+# golden bytes: stdout and exit code of every affine command and of special,
+# in every format
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 

@@ -405,6 +405,19 @@ def test_power_scan_at_a_large_prime_is_fast():
     assert verdict == LPVerdict(True, 1000003, 2)
 
 
+def test_power_scan_copies_no_head_list():
+    # the p-entry head list is about 4.0 MB here; a copy of it as the digit
+    # products peaked at 4.8 MB, where two rows read only m = 0, 1
+    tracemalloc.start()
+    try:
+        verdict = lp_bruteforce(PowerSequence(3), 100003, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == LPVerdict(True, 100003, 2)
+    assert peak < 4_400_000
+
+
 def test_early_failure_at_a_large_prime_is_fast():
     # F(n + 1) fails at n = p; the period 2000008 of F mod p once cost a walk
     # of that many steps (0.68 s) before the scan read a term
@@ -490,8 +503,59 @@ def test_lemma2_geometric_form():
     assert lemma2_check(PowerSequence(3), 7, 7**2)
     assert lemma2_check(fib_affine(5, 1), 5, 5**2)
     assert not lemma2_check(fib_affine(1, 1), 2, 4)
+    # n_bound 1 and 2 check S(0) = 1 alone; S(0) != 1 fails whatever follows
+    assert lemma2_check(TableSequence((1,)), 5, 1)
+    assert lemma2_check(TableSequence((6, 4)), 5, 2)
+    assert not lemma2_check(TableSequence((2, 4)), 5, 2)
+    assert not lemma2_check(TableSequence((1, 2, 3)), 5, 3)
+    assert lemma2_check(TableSequence((1, 2, 4, 0)), 5, 3)
     with pytest.raises(ValueError):
         lemma2_check(PowerSequence(2), 3, 0)
+
+
+def lemma2_list_reference(spec, p, n_bound):
+    """lemma2_check as it was, holding every residue in a list."""
+    vals = spec.residues(p, n_bound)
+    s1 = vals[1] if len(vals) > 1 else 1
+    expected = 1 % p
+    for v in vals:
+        if v != expected:
+            return False
+        expected = expected * s1 % p
+    return True
+
+
+def test_lemma2_streams_its_residues():
+    # the list version held all n_bound residues: 40 MB at n_bound = 10**6
+    # mod 1000003, and 8 MB here, where every residue is a shared small int
+    # (the table is built before tracing, to keep the traced loop fast)
+    table = TableSequence(tuple(PowerSequence(3).iter_residues(251, 10**6)))
+    tracemalloc.start()
+    try:
+        holds = lemma2_check(table, 251, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert holds
+    assert peak < 1_000_000
+
+
+@st.composite
+def lemma2_cases(draw):
+    p = draw(st.sampled_from(primes_upto(13)))
+    s1 = draw(st.integers(min_value=0, max_value=2 * p))
+    length = draw(st.integers(min_value=1, max_value=12))
+    values = [s1**k for k in range(length)]
+    for i in draw(st.lists(st.integers(min_value=0, max_value=length - 1), max_size=2)):
+        values[i] += draw(st.integers(min_value=1, max_value=p))  # + p keeps the residue
+    return TableSequence(tuple(values)), p, draw(st.integers(min_value=1, max_value=length))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lemma2_cases())
+def test_lemma2_matches_the_list_version(case):
+    spec, p, n_bound = case
+    assert lemma2_check(spec, p, n_bound) == lemma2_list_reference(spec, p, n_bound)
 
 
 def test_lemma3_closed_forms():

@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 from pathlib import Path
 
@@ -22,7 +23,9 @@ from hypothesis import strategies as st
 
 from lucaslp.lp import AperySequence, OmegaSequence, TableSequence, lp_bruteforce
 from lucaslp.modmath import _factorials_mod, binomial_mod_lucas, primes_upto
-from lucaslp.special import _omega_mod_residues, apery, apery_mod, omega, omega_mod
+from lucaslp.special import (
+    _apery_terms, _omega_mod_residues, _omega_terms, apery, apery_mod, omega, omega_mod,
+)
 
 OMEGA_FIRST = [
     1,
@@ -105,6 +108,22 @@ def test_omega_convolution_identity():
     for n in range(1, 41):
         acc = sum((-1) ** k * comb(n, k) ** 2 * omega(n - k) for k in range(n + 1))
         assert acc == 0, n
+
+
+def test_omega_stream_matches_omega():
+    assert list(islice(_omega_terms(), 61)) == [omega(n) for n in range(61)]
+
+
+def test_omega_keeps_no_table_after_it_returns():
+    # a module-level prefix table held 237 kB after omega(500), never freed
+    omega(3)  # imports and first-call state outside the traced window
+    tracemalloc.start()
+    try:
+        value = omega(500)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - sys.getsizeof(value) < 10_000
 
 
 def test_omega_mod_matches_exact():
@@ -252,6 +271,10 @@ def test_apery_mod_walks_digits_not_a_box():
     assert int(proc.stdout) == apery(15) ** 40 % 31 == 5
 
 
+def test_apery_stream_matches_the_definitional_sum():
+    assert list(islice(_apery_terms(), 120)) == [apery(n) for n in range(120)]
+
+
 def test_apery_residues_step_the_recurrence():
     for p in primes_upto(7):
         assert AperySequence().residues(p, p**3) == [apery(n) % p for n in range(p**3)], p
@@ -287,7 +310,10 @@ def test_digit_box_sums_match_full_range_sums(case):
 def test_oracle_verdict_matches_exact_residue_stream(p):
     # the same scan over residues reduced from the exact integers, so the
     # oracle's verdict does not rest on the residue code under test
+    # (the exact omega values come from one stream, as each omega(n) call
+    # steps the convolution from w(0))
     count = p**3
-    for spec, exact in ((AperySequence(), apery), (OmegaSequence(), omega)):
-        stream = TableSequence(tuple(exact(n) for n in range(count)))
+    for spec, exact in ((AperySequence(), map(apery, range(count))),
+                        (OmegaSequence(), _omega_terms())):
+        stream = TableSequence(tuple(islice(exact, count)))
         assert lp_bruteforce(spec, p, 3) == lp_bruteforce(stream, p, 3)
