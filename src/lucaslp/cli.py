@@ -14,7 +14,8 @@ import io
 import json
 import sys
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .modmath import Prime, primes_upto
@@ -51,12 +52,28 @@ class CsvUnrepresentableError(ValueError):
     """Raised when a report is too nested for a flat csv rendering."""
 
 
+class _Table(NamedTuple):
+    """Verdict rows held as columns: one sequence of scalars per key, keys
+    in first-seen order, at least one row.
+
+    `crossval` hands its grid to the renderers in this form, and they put
+    uniform dict rows in it, so a large report is rendered a column at a
+    time instead of a cell at a time.
+    """
+
+    keys: tuple[str, ...]
+    columns: tuple
+
+
 class Report(NamedTuple):
-    """The uniform report shape every subcommand emits."""
+    """The uniform report shape every subcommand emits.
+
+    `verdicts` holds one dict per row, or the rows as a _Table.
+    """
 
     command: str
     inputs: dict
-    verdicts: list[dict]
+    verdicts: list[dict] | _Table
     agreement: dict | None = None
 
     def to_dict(self) -> dict:
@@ -87,14 +104,7 @@ def _csv_scalar(value, context: str):
 def _flatten_row(row: dict) -> dict:
     flat = {}
     for key, value in row.items():
-        # grid rows hold only these; bool is tested by identity, as it is an int
-        if value is True:
-            flat[key] = "true"
-        elif value is False:
-            flat[key] = "false"
-        elif type(value) is int or type(value) is str:
-            flat[key] = value
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             for sub, sv in value.items():
                 flat[f"{key}.{sub}"] = _csv_scalar(sv, f"{key}.{sub}")
         else:
@@ -107,13 +117,50 @@ def _columns(rows) -> list[str]:
     return list(dict.fromkeys(key for row in rows for key in row))
 
 
+def _as_table(rows) -> _Table | None:
+    """rows as a _Table, or None unless they are one: a non-empty list of
+    dicts with the same non-empty str keys and no container value."""
+    if type(rows) is _Table:
+        return rows
+    if (
+        not rows
+        or not isinstance(rows, (list, tuple))
+        or not all(issubclass(t, dict) for t in set(map(type, rows)))
+    ):
+        return None
+    keys = rows[0].keys()
+    if (
+        not keys
+        or not all(type(k) is str for k in keys)
+        or not all(map(keys.__eq__, map(dict.keys, rows)))
+    ):
+        return None
+    columns = tuple(list(map(itemgetter(k), rows)) for k in keys)
+    if _nested(chain.from_iterable(columns)):
+        return None
+    return _Table(tuple(keys), columns)
+
+
+def _csv_column(column):
+    # csv.writer writes None as "" and other scalars with str(), as
+    # _flatten_row leaves them; only bools need their json spelling
+    if bool in set(map(type, column)):
+        return ["true" if v is True else "false" if v is False else v for v in column]
+    return column
+
+
 def _format_csv(report: Report) -> str:
     import csv  # only csv output needs it, so other commands start faster
 
-    rows = [_flatten_row(r) for r in report.verdicts]
-    columns = _columns(rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    table = _as_table(report.verdicts)
+    if table is not None:
+        writer.writerow(table.keys)
+        writer.writerows(zip(*map(_csv_column, table.columns)))
+        return buf.getvalue()
+    rows = [_flatten_row(r) for r in report.verdicts]
+    columns = _columns(rows)
     writer.writerow(columns)
     writer.writerows([list(map(row.get, columns, repeat(""))) for row in rows])
     return buf.getvalue()
@@ -123,8 +170,9 @@ def _format_csv(report: Report) -> str:
 # frame per value. With indent=None, JSONEncoder.encode runs the C encoder,
 # and the separator ",\n" + pad puts each entry of a flat container on its own
 # line at that pad. Raw newlines appear in encoded JSON only inside separators
-# (strings escape them), which the row splitting below relies on.
+# (strings escape them), which the column splitting below relies on.
 _CONTAINERS = (dict, list, tuple)
+_encode_column = json.JSONEncoder(separators=("\n", ": ")).encode
 
 
 @lru_cache(maxsize=16)
@@ -138,17 +186,24 @@ def _nested(values) -> bool:
     return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
 
 
-def _flat_rows(values) -> bool:
-    """True for a list of non-empty dicts that hold no container."""
-    return (
-        all(issubclass(t, dict) for t in set(map(type, values)))
-        and all(values)
-        and not _nested(chain.from_iterable(map(dict.values, values)))
-    )
+def _json_table(table: _Table, level: int) -> str:
+    """The rows of a table as json.dumps(sort_keys=True, indent=2) renders
+    them, as if nested `level` deep: one C encoder call per column, and one
+    % template per row with its keys in sorted order."""
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    order = sorted(range(len(table.keys)), key=table.keys.__getitem__)
+    fields = (_encode_column(table.keys[i]).replace("%", "%%") + ": %s" for i in order)
+    template = "{" + inner + "  " + ("," + inner + "  ").join(fields) + inner + "}"
+    cells = [_encode_column(list(table.columns[i]))[1:-1].split("\n") for i in order]
+    return "[" + inner + ("," + inner).join(map(template.__mod__, zip(*cells))) + outer + "]"
 
 
 def _json(value, level: int = 0) -> str:
     """json.dumps(value, sort_keys=True, indent=2), as if nested `level` deep."""
+    table = _as_table(value)
+    if table is not None:
+        return _json_table(table, level)
     if not isinstance(value, _CONTAINERS) or not value:
         return _line_encoder(level)(value)  # a scalar, [] or {}
     is_dict = isinstance(value, dict)
@@ -157,12 +212,6 @@ def _json(value, level: int = 0) -> str:
     if not _nested(value.values() if is_dict else value):
         text = _line_encoder(level + 1)(value)
         return text[0] + inner + text[1:-1] + outer + text[-1]
-    if not is_dict and _flat_rows(value):
-        # one C call for the whole list; "}," + newline + row pad + "{" occurs
-        # exactly between rows, since inside a row a separator precedes a key
-        text = _line_encoder(level + 2)(value)[2:-2]
-        body = text.replace("}," + inner + "  {", inner + "}," + inner + "{" + inner + "  ")
-        return "[" + inner + "{" + inner + "  " + body + inner + "}" + outer + "]"
     if not is_dict:
         parts = [_json(v, level + 1) for v in value]
         return "[" + inner + ("," + inner).join(parts) + outer + "]"
@@ -191,15 +240,18 @@ def _format_plain(report: Report) -> str:
     if report.inputs:
         parts = [f"{k}={_plain_scalar(v)}" for k, v in sorted(report.inputs.items())]
         lines.append("inputs: " + " ".join(parts))
-    if report.verdicts:
-        columns = _columns(report.verdicts)
-        table = [[_plain_scalar(row.get(c)) for c in columns] for row in report.verdicts]
-        widths = [
-            max(len(columns[i]), max(len(r[i]) for r in table)) for i in range(len(columns))
-        ]
-        lines.append("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())
-        for r in table:
-            lines.append("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
+    rows = report.verdicts
+    if rows:
+        if type(rows) is _Table:
+            keys, columns = rows
+        else:
+            keys = _columns(rows)
+            columns = [[row.get(k) for row in rows] for k in keys]
+        cells = [list(map(_plain_scalar, column)) for column in columns]
+        widths = [max(len(k), *map(len, column)) for k, column in zip(keys, cells)]
+        lines.append("  ".join(map(str.ljust, keys, widths)).rstrip())
+        padded = [map(str.ljust, column, repeat(w)) for column, w in zip(cells, widths)]
+        lines.extend(map(str.rstrip, map("  ".join, zip(*padded))))
     if report.agreement is not None:
         lines.append("agreement:")
         for k, v in sorted(report.agreement.items()):
@@ -446,32 +498,29 @@ def _cmd_identity(args):
 
 def _cmd_special(args):
     if args.n_max < 0:
-        raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
+        raise ValueError(f"--n must be >= 0, got {args.n_max}")
     indices = range(args.n_max + 1)
     inputs = {"seq": args.seq, "n_max": args.n_max}
     if args.prime is None:
         # one exact stream: each row is one step of the recurrence or convolution
         terms = _apery_terms() if args.seq == "apery" else _omega_terms()
-        rows = [{"n": n, "value": value} for n, value in zip(indices, terms)]
+        # str() refuses ints of more digits than this limit (0: no limit), so
+        # the first such value ends the table before any later row is computed
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        too_long = 10**limit if limit else None
+        rows = []
+        for n, value in zip(indices, terms):
+            if too_long is not None and abs(value) >= too_long:
+                raise ValueError(
+                    f"Exceeds the limit ({limit} digits) for integer string conversion "
+                    f"at n = {n}: pass --prime, or raise the limit with PYTHONINTMAXSTRDIGITS"
+                )
+            rows.append({"n": n, "value": value})
     else:
         modular = apery_mod if args.seq == "apery" else omega_mod
         p = inputs["prime"] = int(args.prime)
         rows = [{"n": n, "prime": p, "value_mod_p": modular(n, args.prime)} for n in indices]
     return Report("special", inputs, rows), 0
-
-
-def _cell_row(cell, with_rec: bool) -> dict:
-    row = {
-        "prime": cell.prime,
-        "a": cell.a,
-        "b": cell.b,
-        "predicted": cell.predicted,
-        "oracle_holds": cell.oracle_holds,
-        "identically_zero": cell.identically_zero,
-        "disagrees": cell.disagrees,
-    }
-    # csv columns come in first-seen key order, so rec leads
-    return {"rec": cell.rec.as_string(), **row} if with_rec else row
 
 
 def _cmd_crossval(args):
@@ -496,22 +545,32 @@ def _cmd_crossval(args):
     sweep = fam.crossval(
         recs, primes, range(1, args.a_max + 1), range(args.b_max + 1), reading, args.digits
     )
-    rows = [_cell_row(c, with_rec) for c in sweep.cells]
+    cells = sweep.cells
+    # the fields of every GridCell as columns, and its disagrees property
+    prime, a, b, predicted, holds, zero, rec, witness = zip(*cells) if cells else ((),) * 8
+    disagrees = [p != h and not z for p, h, z in zip(predicted, holds, zero)]
+    keys = ("prime", "a", "b", "predicted", "oracle_holds", "identically_zero", "disagrees")
+    columns = (prime, a, b, predicted, holds, zero, disagrees)
+    if with_rec:
+        # csv columns come in first-seen key order, so rec leads
+        names = {r: r.as_string() for r in set(rec)}
+        keys, columns = ("rec", *keys), (list(map(names.__getitem__, rec)), *columns)
     disagreements = [
         {
-            **_cell_row(c, with_rec),
-            "counterexample": c.counterexample.to_dict() if c.counterexample else None,
+            **{k: column[i] for k, column in zip(keys, columns)},
+            "counterexample": witness[i].to_dict() if witness[i] else None,
         }
-        for c in sweep.disagreements
+        for i in compress(range(len(cells)), disagrees)
     ]
     agreement = {
         "theorem": fam.theorem,
         "reading": sweep.reading,
-        "cells": len(sweep.cells),
-        "flagged_identically_zero": len(sweep.identically_zero_cells),
+        "cells": len(cells),
+        "flagged_identically_zero": sum(zero),
         "disagreement_count": len(disagreements),
         "disagreements": disagreements,
     }
+    rows = _Table(keys, columns) if cells else []
     code = 1 if disagreements else 0
     return Report("crossval", inputs, rows, agreement), code
 

@@ -36,6 +36,7 @@ them out of both the disagreement count and the valid-b sets.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 from math import gcd
 from typing import Callable, NamedTuple
@@ -48,7 +49,6 @@ from .sequences import (
     LinearRecurrence,
     PeriodInfo,
     _mat_pow,
-    _stride_terms,
     fib_mod,
     lucas_mod,
     period_mod,
@@ -117,6 +117,20 @@ class AffineIndexMap(NamedTuple("AffineIndexMap", [("a", int), ("b", int)])):
         return tuple.__new__(cls, (a, b))
 
 
+# matrix powers mod p, memoized: a sweep asks for the same stride M**a and
+# the same row jumps (M**a)**(p*m) for every offset b
+_mat_pow_mod = lru_cache(maxsize=4096)(_mat_pow)
+
+
+def _stride_terms(state, p: int, count: int):
+    """Yield S(0), ..., S(count-1) mod p from a spec's _stride_state(p), in
+    O(1) state: each step is four products, the state times the stride."""
+    (m0, m1, m2, m3), x, y = state
+    for _ in range(count):
+        yield x
+        x, y = (m2 * y + m3 * x) % p, (m0 * y + m1 * x) % p
+
+
 # ---------------------------------------------------------------------------
 # sequence specifications the oracle can sample
 
@@ -136,7 +150,8 @@ class SequenceSpec:
 
     # the order k of a recurrence S satisfies mod every p from n = 0 on, or
     # None: k zeros in a row then force all zeros, and the oracle's row bound
-    # is k + 1 (see `lp_bruteforce`)
+    # is k + 1 (see `lp_bruteforce`). A spec with an order also defines
+    # _stride_state(p), the oracle's lockstep read of S.
     _order = None
 
     def __eq__(self, other):
@@ -189,7 +204,15 @@ class AffineSequence(
     _order = 2
 
     def iter_residues(self, p, count):
-        return _stride_terms(self.rec, self.index_map.a, self.index_map.b, int(Prime(p)), count)
+        p = int(Prime(p))
+        return _stride_terms(self._stride_state(p), p, count)
+
+    def _stride_state(self, p: int):
+        """(M**a, A(b), A(b+1)) mod p: the state (A(a*n+b+1), A(a*n+b)) times
+        M**a is the state at n + 1, M the companion matrix of A."""
+        rec, (a, b) = self.rec, self.index_map
+        stride = _mat_pow_mod((rec.u, rec.v, 1, 0), a, p)
+        return stride, rec_term(rec, b, p), rec_term(rec, b + 1, p)
 
     def residue_period(self, p):
         # A(n) mod p repeats with period per from pre <= 2 on; every index
@@ -220,6 +243,12 @@ class PowerSequence(SequenceSpec, NamedTuple("PowerSequence", [("base", int)])):
         for _ in range(count):
             yield r
             r = r * b % p
+
+    def _stride_state(self, p: int):
+        # base**n is A(n) for A(n+1) = base*A(n), A(0) = 1, whose companion
+        # matrix is (base, 0, 1, 0)
+        c = self.base % p
+        return (c, 0, 1, 0), 1, c
 
     def residue_period(self, p):
         # 1, 0, 0, ... when p divides the base; otherwise base**(p-1) = 1
@@ -370,6 +399,9 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     specs and 2 rows (n < 2p) for power specs, with the same verdict and
     counterexample as the full scan, and a holding verdict with
     p**(digit_bound - 1) >= rows holds for every n.
+
+    Those specs are read in lockstep (`_lockstep`), in O(1) memory; table,
+    Apery and omega specs are read as one stream.
     """
     p = Prime(p)
     if digit_bound < 2:
@@ -377,7 +409,7 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     pi = int(p)
     rows = pi ** (digit_bound - 1)  # values of m = n // p the scan reaches
     if spec._order:
-        rows = min(rows, spec._order + 1)
+        return _lockstep(spec, p, digit_bound, min(rows, spec._order + 1))
     it = spec.iter_residues(p, rows * pi)
     head = list(islice(it, pi))
     prods = head[:rows]  # digit products of m = 0, 1, ...; the scan reads m < rows
@@ -392,6 +424,40 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
         if n < rows:
             append(rhs)
         n += 1
+    return LPVerdict(True, p, digit_bound)
+
+
+def _lockstep(spec: SequenceSpec, p: Prime, digit_bound: int, rows: int) -> LPVerdict:
+    """The oracle's scan of n < rows * p for a spec with a stride matrix.
+
+    Row m reads S(j) beside S(p*m + j) for j < p, rows in increasing m, so
+    the first violation found is the smallest n. The state at j, (y, x)
+    with x = S(j), steps by the stride matrix M**a, and the state at
+    p*m + j is (M**a)**(p*m) times it, so S(p*m + j) = c*y + d*x with
+    (c, d) the bottom row of that power: one matrix power per row, and no
+    residue is kept.
+    """
+    pi = int(p)
+    stride, x0, y0 = state = spec._stride_state(pi)
+    m0, m1, m2, m3 = stride
+    # m < rows <= 3, so the digits of m are among 0, 1, 2
+    first = list(_stride_terms(state, pi, 3))
+    for m in range(1, rows):
+        digits, digit_product, k = [], 1, m
+        while k:
+            k, digit = divmod(k, pi)
+            digits.append(digit)
+            digit_product = digit_product * first[digit] % pi
+        _, _, c, d = _mat_pow_mod(stride, pi * m, pi)
+        e = d - digit_product  # D_j(m) = c*y + e*x
+        x, y = x0, y0
+        for j in range(pi):
+            if (c * y + e * x) % pi:
+                lhs, rhs = (c * y + d * x) % pi, digit_product * x % pi
+                return LPVerdict(
+                    False, p, digit_bound, Counterexample(pi * m + j, lhs, (j, *digits), rhs)
+                )
+            x, y = (m2 * y + m3 * x) % pi, (m0 * y + m1 * x) % pi
     return LPVerdict(True, p, digit_bound)
 
 
@@ -718,7 +784,7 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
                 for b in b_values
             ]
             for a in a_values:
-                m0, m1, m2, m3 = _mat_pow((rec.u, rec.v, 1, 0), a, pi)
+                m0, m1, m2, m3 = _mat_pow_mod((rec.u, rec.v, 1, 0), a, pi)
                 trace, det = (m0 + m3) % pi, (m0 * m3 - m1 * m2) % pi
                 vanishes = fam.vanishing(rec, a, p) == 0
                 for b, (s0, y, seed_is_one) in zip(b_values, starts):

@@ -165,16 +165,6 @@ def rec_term(rec: LinearRecurrence, n: int, modulus=None) -> int:
     return _rec_term(rec, n, modulus)
 
 
-def _stride_terms(rec: LinearRecurrence, a: int, b: int, p: int, count: int):
-    """Yield A(a*n + b) mod p for n < count, in O(1) state: each step is four
-    products, the state (A(n+1), A(n)) times the companion matrix power M**a."""
-    m0, m1, m2, m3 = _mat_pow((rec.u, rec.v, 1, 0), a, p)
-    x, y = rec_term(rec, b, p), rec_term(rec, b + 1, p)
-    for _ in range(count):
-        yield x
-        x, y = (m2 * y + m3 * x) % p, (m0 * y + m1 * x) % p
-
-
 @lru_cache(maxsize=1024)
 def s_poly(k: int, u: int, v: int) -> int:
     """Shift coefficient s(k) = sum over i of C(k-i, i) u^(k-2i) v^i."""

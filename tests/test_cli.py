@@ -303,7 +303,7 @@ def test_special_subcommand(capsys):
     ]
 
 
-def run_special_apery(n_max):
+def run_special(seq, n_max):
     # a child process, so a table built from O(n) sums per row (29 s at
     # n = 1200) cannot hang the suite
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -311,14 +311,14 @@ def run_special_apery(n_max):
     env.pop("PYTHONINTMAXSTRDIGITS", None)
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "lucaslp", "special", "--seq", "apery", "--n", str(n_max)],
+        [sys.executable, "-m", "lucaslp", "special", "--seq", seq, "--n", str(n_max)],
         capture_output=True, text=True, env=env, timeout=60,
     )
     return proc, time.perf_counter() - start
 
 
 def test_special_apery_tabulates_from_the_recurrence():
-    proc, elapsed = run_special_apery(1200)
+    proc, elapsed = run_special("apery", 1200)
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 5.0
     rows = json.loads(proc.stdout)["verdicts"]
@@ -334,14 +334,66 @@ def test_special_apery_past_the_int_string_limit_exits_2_quickly():
     # A(3000) has about 4600 digits, past the default 4300-digit limit of
     # int-to-str conversion: the report cannot be rendered, and the command
     # says so in one line once the table is built
-    proc, elapsed = run_special_apery(3000)
+    proc, elapsed = run_special("apery", 3000)
     assert proc.returncode == 2
     assert elapsed < 5.0
     assert proc.stdout == ""
     assert proc.stderr.startswith(
-        "error: Exceeds the limit (4300 digits) for integer string conversion"
+        "error: Exceeds the limit (4300 digits) for integer string conversion at n = 2813:"
     )
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(
+    not getattr(sys.flags, "int_max_str_digits", 0),
+    reason="this Python renders integers of any length",
+)
+def test_special_omega_stops_at_the_first_row_past_the_limit():
+    # w(884) is the first value past 4300 digits; the convolution to n = 2000
+    # took 87.6 s before the report then failed to render
+    proc, elapsed = run_special("omega", 2000)
+    assert proc.returncode == 2
+    assert elapsed < 10.0
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: Exceeds the limit (4300 digits) for integer string conversion at n = 884:"
+    )
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-to-str limit"
+)
+@pytest.mark.parametrize("seq", ["apery", "omega"])
+def test_special_names_the_first_row_past_the_limit(capsys, monkeypatch, seq):
+    # under the smallest limit, 640 digits: the first exact value past it
+    # ends the command, and no later term is computed
+    stream = getattr(cli, f"_{seq}_terms")
+    first_too_long = next(n for n, v in enumerate(stream()) if v >= 10**640)
+    read = []
+    monkeypatch.setattr(cli, f"_{seq}_terms", lambda: (read.append(v) or v for v in stream()))
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "special", "--seq", seq, "--n", "5000")
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: Exceeds the limit (640 digits) for integer string conversion "
+        f"at n = {first_too_long}: pass --prime, or raise the limit with PYTHONINTMAXSTRDIGITS\n"
+    )
+    assert len(read) == first_too_long + 1
+    assert len(str(read[-2])) <= 640
+
+
+def test_special_rejects_a_negative_n(capsys):
+    for argv in (("--seq", "apery"), ("--seq", "omega", "--prime", "7")):
+        code, out, err = run(capsys, "special", *argv, "--n", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n must be >= 0, got -1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +680,84 @@ def test_csv_renderer_cases():
         assert csv_outcome(lambda r: format_report(r, "csv"), report) == (
             "error", f"{message} does not fit csv"
         )
+
+
+def reference_plain(report):
+    """The plain rendering of the verdict rows one row at a time, as it was
+    before the renderer worked on columns."""
+    lines = [f"command: {report.command}"]
+    if report.verdicts:
+        columns = list(dict.fromkeys(key for row in report.verdicts for key in row))
+        table = [[cli._plain_scalar(row.get(c)) for c in columns] for row in report.verdicts]
+        widths = [
+            max(len(columns[i]), max(len(r[i]) for r in table)) for i in range(len(columns))
+        ]
+        lines.append("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())
+        for r in table:
+            lines.append("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+# keys that a % template or a json string must escape, and json text
+TABLE_KEYS = (
+    st.sampled_from(["prime", "a", "%", "%s", "%(a)s", '"', 'q"%', "x,y", "é"]) | JSON_TEXT
+)
+# one column: a single scalar type, or any mix of scalars
+MIXED_SCALARS = st.none() | st.booleans() | st.integers() | JSON_TEXT
+COLUMN_VALUES = st.sampled_from([st.integers(), st.booleans(), st.none(), JSON_TEXT, MIXED_SCALARS])
+
+
+@st.composite
+def uniform_tables(draw):
+    keys = draw(st.lists(TABLE_KEYS, min_size=1, max_size=4, unique=True))
+    height = draw(st.integers(0, 5))
+    columns = [
+        draw(st.lists(draw(COLUMN_VALUES), min_size=height, max_size=height)) for _ in keys
+    ]
+    return keys, columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(uniform_tables())
+def test_column_path_matches_dict_rows(case):
+    keys, columns = case
+    rows = [dict(zip(keys, values)) for values in zip(*columns)]
+    # as crossval hands a grid: a table, or [] when it has no cells
+    table = cli._Table(tuple(keys), tuple(columns)) if rows else []
+    if rows:
+        # uniform dict rows take the same column path
+        assert cli._as_table(rows) == table
+    expected = Report("demo", {}, rows)
+    for verdicts in (table, rows):
+        report = Report("demo", {}, verdicts)
+        assert format_report(report, "json") == reference_json(expected.to_dict()) + "\n"
+        assert format_report(report, "csv") == reference_csv(expected)
+        assert format_report(report, "plain") == reference_plain(expected)
+
+
+def test_column_path_cases(capsys):
+    # an empty grid prints the empty csv header line, as it always has
+    code, out, _ = run(capsys, "crossval", "--theorem", "1", "--a-max", "0", "--format", "csv")
+    assert (code, out) == (0, "\n")
+    assert format_report(Report("demo", {}, []), "csv") == "\n"
+    # rows that are not uniform, or not flat, keep the per-row path
+    for rows in (
+        [{"a": 1}, {"b": 2}],
+        [{"a": 1}, {"a": 2, "b": 3}],
+        [{"a": [1, 2]}],
+        [{"a": {"n": 1}}],
+        [{}],
+        [{1: "x"}],
+        [{"a": 1}, 2],
+    ):
+        assert cli._as_table(rows) is None
+    table = cli._Table(("%s", 'q"'), ([True, None], ["a\nb", 7]))
+    assert format_report(Report("demo", {}, table), "json") == (
+        '{\n  "command": "demo",\n  "inputs": {},\n  "verdicts": [\n'
+        '    {\n      "%s": true,\n      "q\\"": "a\\nb"\n    },\n'
+        '    {\n      "%s": null,\n      "q\\"": 7\n    }\n  ]\n}\n'
+    )
+    assert format_report(Report("demo", {}, table), "csv") == '%s,"q"""\ntrue,"a\nb"\n,7\n'
 
 
 def test_format_validation():

@@ -405,17 +405,17 @@ def test_power_scan_at_a_large_prime_is_fast():
     assert verdict == LPVerdict(True, 1000003, 2)
 
 
-def test_power_scan_copies_no_head_list():
-    # the p-entry head list is about 4.0 MB here; a copy of it as the digit
-    # products peaked at 4.8 MB, where two rows read only m = 0, 1
+def test_power_scan_at_a_large_prime_holds_o1_residues():
+    # the lockstep read keeps no p-entry list; the head list alone took
+    # about 40 MB here
     tracemalloc.start()
     try:
-        verdict = lp_bruteforce(PowerSequence(3), 100003, 2)
+        verdict = lp_bruteforce(PowerSequence(3), 1000003, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert verdict == LPVerdict(True, 100003, 2)
-    assert peak < 4_400_000
+    assert verdict == LPVerdict(True, 1000003, 2)
+    assert peak < 1_000_000
 
 
 def test_early_failure_at_a_large_prime_is_fast():
