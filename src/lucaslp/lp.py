@@ -10,12 +10,14 @@ either one.
 
 The property holds iff S(p*m + j) = S(m) * S(j) mod p for every m >= 1 and
 j < p (the digit-recursive form, McIntosh, Amer. Math. Monthly 99, 1992).
-For S(n) = A(a*n + b), both sides satisfy one recurrence of order 2 in m,
-so the first violation, if any, lies below 3p; for a power base**n the
-order is 1 and it lies below 2p (see `lp_bruteforce`). The oracle stops
-there, so for these specs a verdict holds for every n once
-p**(digit_bound - 1) >= 3, with a row bound that no criterion and no period
-supplies; F(42n+1) mod 211 reads 633 terms instead of 211**3.
+For S(n) = A(a*n + b), and for a power base**n, S satisfies a recurrence of
+order k (2, or 1 for a power), and so does the gap between both sides in m
+and in j (see `lp_bruteforce`). The oracle decides these specs from a k-by-k
+certificate: rows m = 1..k and states j < k, at any p, with the full scan's
+verdict and counterexample. The first violation has n mod p < k, and a
+holding verdict holds for every n once p**(digit_bound - 1) > k; no
+criterion and no period enters. F(42n+1) mod 211 reads four states instead
+of 211**3 terms. Table, Apery and omega specs are read as one stream.
 
 Every affine subsequence S(n) = A(a*n + b) of a second-order recurrence is
 one `AffineSequence`; a family table maps "fib", "lucas" and "general" to
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
-from math import gcd
 from typing import Callable, NamedTuple
 
 from .modmath import Prime, digits_base_p, is_prime
@@ -47,7 +48,6 @@ from .sequences import (
     LUCAS_NUMBERS,
     PELL,
     LinearRecurrence,
-    PeriodInfo,
     _mat_pow,
     fib_mod,
     lucas_mod,
@@ -149,9 +149,9 @@ class SequenceSpec:
     __slots__ = ()
 
     # the order k of a recurrence S satisfies mod every p from n = 0 on, or
-    # None: k zeros in a row then force all zeros, and the oracle's row bound
-    # is k + 1 (see `lp_bruteforce`). A spec with an order also defines
-    # _stride_state(p), the oracle's lockstep read of S.
+    # None: k zeros in a row then force all zeros, and the oracle reads rows
+    # m <= k and states j < k (see `_lockstep`). A spec with an order also
+    # defines _stride_state(p), the state that certificate steps.
     _order = None
 
     def __eq__(self, other):
@@ -171,15 +171,6 @@ class SequenceSpec:
 
     def residues(self, p, count: int) -> list[int]:
         return list(self.iter_residues(p, count))
-
-    def residue_period(self, p) -> PeriodInfo | None:
-        """(pre, per) such that S(n) and S(p*n + j), for each j < p, are
-        periodic mod p with period per from n >= pre on; None if unknown.
-
-        The oracle does not need it: its row bound comes from the order of
-        the recurrence S satisfies (see `lp_bruteforce`).
-        """
-        return None
 
     def describe(self) -> dict:
         """Flat, JSON-friendly description of the sequence, used in reports."""
@@ -214,13 +205,6 @@ class AffineSequence(
         stride = _mat_pow_mod((rec.u, rec.v, 1, 0), a, p)
         return stride, rec_term(rec, b, p), rec_term(rec, b + 1, p)
 
-    def residue_period(self, p):
-        # A(n) mod p repeats with period per from pre <= 2 on; every index
-        # a*n + b with n >= pre is past pre, and a step of per // gcd(a, per)
-        # in n moves a*n + b by a multiple of per
-        pre, per = period_mod(self.rec, int(Prime(p)))
-        return PeriodInfo(pre, per // gcd(self.index_map.a, per))
-
     def describe(self):
         d = {"variant": self.variant}
         if self.variant == "general-affine":
@@ -249,11 +233,6 @@ class PowerSequence(SequenceSpec, NamedTuple("PowerSequence", [("base", int)])):
         # matrix is (base, 0, 1, 0)
         c = self.base % p
         return (c, 0, 1, 0), 1, c
-
-    def residue_period(self, p):
-        # 1, 0, 0, ... when p divides the base; otherwise base**(p-1) = 1
-        p = int(Prime(p))
-        return PeriodInfo(1, 1) if self.base % p == 0 else PeriodInfo(0, p - 1)
 
     def describe(self):
         return {"variant": self.variant, "base": self.base}
@@ -380,11 +359,9 @@ class LPVerdict(
 def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     """Check the digit-product congruence for every n < p**digit_bound.
 
-    Digit products are built up dynamically: the product for n reuses the
-    product for n // p, so the whole scan is linear in the number of indices
-    checked. The scan stops at the first (hence smallest) violating n.
-    Single-digit n satisfy the congruence identically, so digit_bound must
-    be at least 2 for the scan to say anything.
+    The scan reports the first (hence smallest) violating n. Single-digit n
+    satisfy the congruence identically, so digit_bound must be at least 2
+    for the scan to say anything.
 
     The congruence holds for every n iff D_j(m) = S(p*m + j) - S(j) * S(m)
     is 0 mod p for every m >= 1 and j < p. For S(n) = A(a*n + b), S(m) is a
@@ -392,16 +369,19 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     A, so by Cayley-Hamilton it satisfies chi, the characteristic
     polynomial of M**a mod p, from m = 0 on. S(p*m + j) satisfies that of
     M**(a*p), whose roots are the p-th powers of the roots of chi; Frobenius
-    permutes those, so it is chi too. So D_j satisfies chi, of order 2, and
-    D_j(1) = D_j(2) = 0 forces D_j(m) = 0 for every m >= 1, singular M
-    included. A power base**n satisfies x - base, of order 1, and D_j(1) = 0
-    suffices. The scan therefore stops after 3 rows m (n < 3p) for affine
-    specs and 2 rows (n < 2p) for power specs, with the same verdict and
-    counterexample as the full scan, and a holding verdict with
-    p**(digit_bound - 1) >= rows holds for every n.
+    permutes those, so it is chi too. So D_j satisfies chi, of order k = 2,
+    and D_j(1) = D_j(2) = 0 forces D_j(m) = 0 for every m >= 1, singular M
+    included. A power base**n satisfies x - base, of order k = 1, and
+    D_j(1) = 0 suffices. For a fixed m, D_j(m) is one linear form in the
+    state at j, and the states at j < k span all the others, so the scan
+    reads rows m = 1..k and states j < k (`_lockstep`): at most k*k
+    residues at any p, with the full scan's verdict and counterexample. A
+    holding verdict with p**(digit_bound - 1) > k holds for every n.
 
-    Those specs are read in lockstep (`_lockstep`), in O(1) memory; table,
-    Apery and omega specs are read as one stream.
+    Table, Apery and omega specs have no order and are read as one stream
+    of every n < p**digit_bound. Their digit products are built up
+    dynamically: the product for n reuses the product for n // p, so that
+    scan is linear in the number of indices checked.
     """
     p = Prime(p)
     if digit_bound < 2:
@@ -428,14 +408,17 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
 
 
 def _lockstep(spec: SequenceSpec, p: Prime, digit_bound: int, rows: int) -> LPVerdict:
-    """The oracle's scan of n < rows * p for a spec with a stride matrix.
+    """The oracle's certificate for a spec of recurrence order k: rows
+    1 <= m < rows, states j < min(p, k).
 
-    Row m reads S(j) beside S(p*m + j) for j < p, rows in increasing m, so
-    the first violation found is the smallest n. The state at j, (y, x)
-    with x = S(j), steps by the stride matrix M**a, and the state at
-    p*m + j is (M**a)**(p*m) times it, so S(p*m + j) = c*y + d*x with
-    (c, d) the bottom row of that power: one matrix power per row, and no
-    residue is kept.
+    The state at j, (y, x) with x = S(j), steps by the stride matrix M**a,
+    and the state at p*m + j is (M**a)**(p*m) times it, so
+    D_j(m) = c*y + e*x with (c, d) the bottom row of that power and
+    e = d - S(m): one matrix power per row. The states satisfy the order-k
+    recurrence S does, so those at j < k span all the others (Cayley-
+    Hamilton), and a form that vanishes on them vanishes for every j < p.
+    Rows go in increasing m and states in increasing j, so the first
+    violation found is the smallest n, and its n mod p is below k.
     """
     pi = int(p)
     stride, x0, y0 = state = spec._stride_state(pi)
@@ -451,7 +434,7 @@ def _lockstep(spec: SequenceSpec, p: Prime, digit_bound: int, rows: int) -> LPVe
         _, _, c, d = _mat_pow_mod(stride, pi * m, pi)
         e = d - digit_product  # D_j(m) = c*y + e*x
         x, y = x0, y0
-        for j in range(pi):
+        for j in range(min(pi, spec._order)):
             if (c * y + e * x) % pi:
                 lhs, rhs = (c * y + d * x) % pi, digit_product * x % pi
                 return LPVerdict(

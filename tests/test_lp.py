@@ -123,12 +123,6 @@ def full_scan_reference(spec, p, digit_bound):
     return LPVerdict(True, p, digit_bound)
 
 
-def certificate_bound(spec, p):
-    """N* = p * (max(pre, 1) + per), the bound the period certificate gives."""
-    pre, per = spec.residue_period(p)
-    return p * (max(pre, 1) + per)
-
-
 def assert_verdict_consistent(spec, p, verdict, digit_bound=3):
     naive = naive_scan(spec, p, digit_bound)
     if verdict.holds:
@@ -282,7 +276,8 @@ def test_bruteforce_scans_all_indices_below_bound():
 
 @st.composite
 def certified_specs(draw):
-    """Affine and power specs, the ones whose scans stop at a row bound."""
+    """Affine and power specs, the ones the oracle decides from a k-by-k
+    certificate."""
     p = draw(st.sampled_from(SMALL_PRIMES))
     digit_bound = draw(st.integers(2, 4))
     if draw(st.booleans()):
@@ -309,38 +304,17 @@ def certified_specs(draw):
 @given(certified_specs())
 def test_certified_scan_matches_full_scan(case):
     spec, p, digit_bound = case
-    assert lp_bruteforce(spec, p, digit_bound) == full_scan_reference(spec, p, digit_bound)
-
-
-def test_residue_period_certificates():
-    assert fib_affine(42, 1).residue_period(211) == (0, 1)
-    assert fib_affine(5, 1).residue_period(5) == (0, 4)  # Fibonacci mod 5: period 20
-    assert lucas_affine(3, 0).residue_period(5) == (0, 4)  # Lucas mod 5: period 4
-    assert general_affine(LinearRecurrence(1, 1, 5, 5), 2, 0).residue_period(5) == (2, 1)
-    assert general_affine(LinearRecurrence(1, 4, 2, 5), 6, 3).residue_period(5) == (1, 2)
-    assert PowerSequence(3).residue_period(7) == (0, 6)
-    assert PowerSequence(-14).residue_period(7) == (1, 1)
-    assert PowerSequence(0).residue_period(2) == (1, 1)
-    for spec in (AperySequence(), OmegaSequence(), TableSequence((1,))):
-        assert spec.residue_period(5) is None
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_digit_bound_3_is_exact_for_affine_specs(p):
-    # N* <= p**3 for every recurrence and stride, so the period certificate
-    # alone would already make a digit-3 verdict cover every n
-    for data in product(range(p), repeat=4):
-        rec = LinearRecurrence(*data)
-        pre, per = period_mod(rec, p)
-        for a in range(1, per + 2):
-            assert certificate_bound(general_affine(rec, a, pre), p) <= p**3, (rec, a)
+    reference = full_scan_reference(spec, p, digit_bound)
+    assert lp_bruteforce(spec, p, digit_bound) == reference
+    # the certificate's premise, read off the full scan: every violation
+    # that comes first sits at a state j < k of its row
+    assert reference.holds or reference.counterexample.n % p < spec._order
 
 
 def test_digit_bound_2_is_not_exact():
     # 0, 1, 0, 1, ... mod 2: every n < 4 passes, and the first failure sits
-    # at 3p - 1 = N* - 1 = 5, the last index a three-row scan reads
+    # at 3p - 1 = 5, row m = 2 and state j = 1 of the certificate
     spec = general_affine(LinearRecurrence(0, 1, 0, 1), 1, 0)
-    assert certificate_bound(spec, 2) == 6
     assert lp_bruteforce(spec, 2, 2).holds
     expected = Counterexample(5, 1, (1, 0, 1), 0)
     for digit_bound in (3, 4, 6):
@@ -350,8 +324,8 @@ def test_digit_bound_2_is_not_exact():
 
 
 def test_certified_scan_is_short_at_a_large_prime():
-    # the full scan would read 211**4, about 2e9 terms; the row bound stops
-    # it after 3 * 211
+    # the full scan would read 211**4, about 2e9 terms; the certificate
+    # reads two states in each of two rows
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -371,8 +345,9 @@ ROW_BOUND_DIGITS = {2: 6, 3: 4, 5: 3}
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_row_bound_matches_full_scan_for_every_recurrence(p):
-    # every recurrence mod p, a < 2p and b < pre + per: the scan that stops
-    # after 3 rows gives the full scan's verdict and counterexample
+    # every recurrence mod p, a < 2p and b < pre + per: the certificate of
+    # rows m <= 2 and states j < 2 gives the full scan's verdict and
+    # counterexample
     digit_bound = ROW_BOUND_DIGITS[p]
     count = p**digit_bound
     for data in product(range(p), repeat=4):
@@ -386,6 +361,7 @@ def test_row_bound_matches_full_scan_for_every_recurrence(p):
                 spec = general_affine(rec, a, b)
                 reference = full_scan_reference(TableSequence(tuple(terms[b::a][:count])), p, digit_bound)
                 assert lp_bruteforce(spec, p, digit_bound) == reference, (rec, a, b)
+                assert reference.holds or reference.counterexample.n % p < spec._order
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -397,17 +373,30 @@ def test_row_bound_matches_full_scan_for_power_bases(p):
             assert lp_bruteforce(spec, p, digit_bound) == full_scan_reference(spec, p, digit_bound)
 
 
-def test_power_scan_at_a_large_prime_is_fast():
-    # the period certificate allowed p**2 = 1e12 terms here; two rows read 2p
+ALPHA_1000000000039 = 333333333346  # the rank of apparition of F mod p
+
+
+@pytest.mark.parametrize("spec, p, digit_bound", [
+    (PowerSequence(3), 1000003, 2),
+    (PowerSequence(3), 1000000000039, 2),
+    (fib_affine(ALPHA_1000000000039, 1), 1000000000039, 2),
+    (fib_affine(ALPHA_1000000000039, 1), 1000000000039, 4),
+])
+def test_power_scan_at_a_large_prime_is_fast(spec, p, digit_bound):
+    # holding scans: a read of every state of a row took 3p terms for an
+    # affine spec and 2p for a power, which hung at p = 1e12; the
+    # certificate reads at most four states
     start = time.perf_counter()
-    verdict = lp_bruteforce(PowerSequence(3), 1000003, 2)
-    assert time.perf_counter() - start < 5.0
-    assert verdict == LPVerdict(True, 1000003, 2)
+    verdict = lp_bruteforce(spec, p, digit_bound)
+    assert time.perf_counter() - start < 1.0
+    assert verdict == LPVerdict(True, p, digit_bound)
+    if spec.variant == "fib-affine":
+        assert theorem1_condition(spec.index_map, p)
 
 
 def test_power_scan_at_a_large_prime_holds_o1_residues():
-    # the lockstep read keeps no p-entry list; the head list alone took
-    # about 40 MB here
+    # the oracle keeps no p-entry list; the head list alone took about 40 MB
+    # here
     tracemalloc.start()
     try:
         verdict = lp_bruteforce(PowerSequence(3), 1000003, 2)
