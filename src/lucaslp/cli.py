@@ -188,15 +188,22 @@ def _nested(values) -> bool:
 
 def _json_table(table: _Table, level: int) -> str:
     """The rows of a table as json.dumps(sort_keys=True, indent=2) renders
-    them, as if nested `level` deep: one C encoder call per column, and one
-    % template per row with its keys in sorted order."""
+    them, as if nested `level` deep: one C encoder call per column for its
+    distinct values, and one str.join per row of their spellings."""
     outer = "\n" + "  " * level
     inner = outer + "  "
-    order = sorted(range(len(table.keys)), key=table.keys.__getitem__)
-    fields = (_encode_column(table.keys[i]).replace("%", "%%") + ": %s" for i in order)
-    template = "{" + inner + "  " + ("," + inner + "  ").join(fields) + inner + "}"
-    cells = [_encode_column(list(table.columns[i]))[1:-1].split("\n") for i in order]
-    return "[" + inner + ("," + inner).join(map(template.__mod__, zip(*cells))) + outer + "]"
+    cells = []
+    for n, (key, values) in enumerate(sorted(zip(*table), key=itemgetter(0))):
+        types = set(map(type, values))  # 1, True, 1.0 are equal keys, as are 0.0, -0.0
+        one_type = len(types) == 1 and not issubclass(*types, float)
+        keys = values if one_type else list(zip(map(type, values), values, map(repr, values)))
+        distinct = dict(zip(keys, values))
+        head = ("," if n else "") + inner + "  " + _encode_column(key) + ": "
+        spelled = _encode_column(list(distinct.values()))[1:-1].split("\n")
+        distinct.update(zip(distinct, [head + text for text in spelled]))
+        cells.append(map(distinct.__getitem__, keys))
+    rows = (inner + "}," + inner + "{").join(map("".join, zip(*cells)))
+    return "[" + inner + "{" + rows + inner + "}" + outer + "]"
 
 
 def _json(value, level: int = 0) -> str:
@@ -387,18 +394,10 @@ def _cmd_theorem(args):
 def _cmd_enumerate_b(args):
     fam, (rec,), _ = _affine(args, args.family, "--family {name}")
     enum = enumerate_valid_b(args.family, args.a, args.prime, args.digits, rec=rec)
-    valid = set(enum.valid_b)
-    predicted = set(enum.predicted_b)
-    zero = set(enum.identically_zero_b)
-    rows = [
-        {
-            "b": b,
-            "oracle_holds": b in valid or b in zero,
-            "predicted": b in predicted,
-            "identically_zero": b in zero,
-        }
-        for b in range(enum.preperiod + enum.modulus)
-    ]
+    offsets = range(enum.preperiod + enum.modulus)
+    flags = [list(map(set(bs).__contains__, offsets)) for bs in (
+        (*enum.valid_b, *enum.identically_zero_b), enum.predicted_b, enum.identically_zero_b)]
+    rows = _Table(("b", "oracle_holds", "predicted", "identically_zero"), (offsets, *flags))
     agreement = {
         "preperiod": enum.preperiod,
         "modulus": enum.modulus,

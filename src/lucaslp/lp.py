@@ -25,10 +25,9 @@ their recurrence and their criterion, a vanishing residue that must be 0
 and a seed residue that must be 1 mod p. A single in-process sweep drives
 the crossval entry points and the valid-offset enumeration. S satisfies
 x^2 - tr(M^a)*x + det(M^a) mod p from n = 0 on, so the key
-(p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue of S: the sweep
-scans each key once and reuses the verdict for every cell with that key,
-across recurrences too. It reads the vanishing residue once per stride and
-the seed residue once per offset.
+(p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue of S. The sweep
+runs the oracle's certificate once per key, on the M^a, A(b) and A(b+1) it
+holds, and reads the vanishing residue once per stride, the seed per offset.
 
 A sequence that vanishes identically mod p satisfies the congruence
 vacuously; by the same recurrence it does so exactly when S(0) = S(1) = 0.
@@ -38,7 +37,7 @@ them out of both the disagreement count and the valid-b sets.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Callable, NamedTuple
 
@@ -150,7 +149,7 @@ class SequenceSpec:
 
     # the order k of a recurrence S satisfies mod every p from n = 0 on, or
     # None: k zeros in a row then force all zeros, and the oracle reads rows
-    # m <= k and states j < k (see `_lockstep`). A spec with an order also
+    # m <= k and states j < k (see `_certificate`). A spec with an order also
     # defines _stride_state(p), the state that certificate steps.
     _order = None
 
@@ -374,9 +373,9 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     included. A power base**n satisfies x - base, of order k = 1, and
     D_j(1) = 0 suffices. For a fixed m, D_j(m) is one linear form in the
     state at j, and the states at j < k span all the others, so the scan
-    reads rows m = 1..k and states j < k (`_lockstep`): at most k*k
-    residues at any p, with the full scan's verdict and counterexample. A
-    holding verdict with p**(digit_bound - 1) > k holds for every n.
+    reads rows m = 1..k and states j < k (`_certificate`, which the sweeps
+    also run): k*k residues at most, at any p, with the full scan's verdict
+    and counterexample; with p**(digit_bound - 1) > k a pass holds for all n.
 
     Table, Apery and omega specs have no order and are read as one stream
     of every n < p**digit_bound. Their digit products are built up
@@ -384,12 +383,11 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     scan is linear in the number of indices checked.
     """
     p = Prime(p)
-    if digit_bound < 2:
-        raise ValueError(f"digit_bound must be >= 2, got {digit_bound}")
     pi = int(p)
-    rows = pi ** (digit_bound - 1)  # values of m = n // p the scan reaches
+    rows = _rows(pi, digit_bound)
     if spec._order:
-        return _lockstep(spec, p, digit_bound, min(rows, spec._order + 1))
+        witness = _certificate(pi, *spec._stride_state(pi), spec._order, rows)
+        return LPVerdict(witness is None, p, digit_bound, witness)
     it = spec.iter_residues(p, rows * pi)
     head = list(islice(it, pi))
     prods = head[:rows]  # digit products of m = 0, 1, ...; the scan reads m < rows
@@ -407,12 +405,20 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     return LPVerdict(True, p, digit_bound)
 
 
-def _lockstep(spec: SequenceSpec, p: Prime, digit_bound: int, rows: int) -> LPVerdict:
-    """The oracle's certificate for a spec of recurrence order k: rows
-    1 <= m < rows, states j < min(p, k).
+def _rows(p: int, digit_bound: int) -> int:
+    """The values of m = n // p that a scan of every n < p**digit_bound reaches."""
+    if digit_bound < 2:
+        raise ValueError(f"digit_bound must be >= 2, got {digit_bound}")
+    return p ** (digit_bound - 1)
 
-    The state at j, (y, x) with x = S(j), steps by the stride matrix M**a,
-    and the state at p*m + j is (M**a)**(p*m) times it, so
+
+def _certificate(p: int, stride, x0: int, y0: int, order: int, rows: int):
+    """The oracle's certificate for S of recurrence order k = `order`: the
+    first violation among rows 1 <= m < min(rows, k + 1) and states
+    j < min(p, k), as a Counterexample, or None.
+
+    S(n) = x_n for the state (y_n, x_n) = stride**n (y0, x0), stride = M**a
+    mod p. The state at p*m + j is stride**(p*m) times the one at j, so
     D_j(m) = c*y + e*x with (c, d) the bottom row of that power and
     e = d - S(m): one matrix power per row. The states satisfy the order-k
     recurrence S does, so those at j < k span all the others (Cayley-
@@ -420,28 +426,24 @@ def _lockstep(spec: SequenceSpec, p: Prime, digit_bound: int, rows: int) -> LPVe
     Rows go in increasing m and states in increasing j, so the first
     violation found is the smallest n, and its n mod p is below k.
     """
-    pi = int(p)
-    stride, x0, y0 = state = spec._stride_state(pi)
     m0, m1, m2, m3 = stride
-    # m < rows <= 3, so the digits of m are among 0, 1, 2
-    first = list(_stride_terms(state, pi, 3))
+    rows = min(rows, order + 1)  # the digits of each m < rows are below rows
+    first = list(_stride_terms((stride, x0, y0), p, rows))
     for m in range(1, rows):
         digits, digit_product, k = [], 1, m
         while k:
-            k, digit = divmod(k, pi)
+            k, digit = divmod(k, p)
             digits.append(digit)
-            digit_product = digit_product * first[digit] % pi
-        _, _, c, d = _mat_pow_mod(stride, pi * m, pi)
+            digit_product = digit_product * first[digit] % p
+        _, _, c, d = _mat_pow_mod(stride, p * m, p)
         e = d - digit_product  # D_j(m) = c*y + e*x
         x, y = x0, y0
-        for j in range(min(pi, spec._order)):
-            if (c * y + e * x) % pi:
-                lhs, rhs = (c * y + d * x) % pi, digit_product * x % pi
-                return LPVerdict(
-                    False, p, digit_bound, Counterexample(pi * m + j, lhs, (j, *digits), rhs)
-                )
-            x, y = (m2 * y + m3 * x) % pi, (m0 * y + m1 * x) % pi
-    return LPVerdict(True, p, digit_bound)
+        for j in range(min(p, order)):
+            if (c * y + e * x) % p:
+                lhs, rhs = (c * y + d * x) % p, digit_product * x % p
+                return Counterexample(p * m + j, lhs, (j, *digits), rhs)
+            x, y = (m2 * y + m3 * x) % p, (m0 * y + m1 * x) % p
+    return None
 
 
 def sequence_is_zero_mod(spec: SequenceSpec, p, digit_bound: int = 3) -> bool:
@@ -641,10 +643,8 @@ def enumerate_valid_b(
     if base_rec is None:
         raise ValueError("family 'general' needs an explicit recurrence")
     info = period_mod(base_rec, p)
-    cells = _sweep(
-        family, (base_rec,), (p,), (a,), range(info.preperiod + info.period), digit_bound,
-        AS_PROVED,
-    ).cells
+    offsets = range(info.preperiod + info.period)
+    cells = _sweep(family, (base_rec,), (p,), (a,), offsets, digit_bound, AS_PROVED).cells
     return BEnumeration(
         family=family,
         a=a,
@@ -742,9 +742,10 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
     S(n) = A(a*n + b) satisfies x^2 - tr(M^a)*x + det(M^a) mod p from n = 0
     on, M the companion matrix of A (see `lp_bruteforce`), so the key
     (p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue the oracle
-    reads: cells with equal keys share one scan, whatever their recurrence,
-    and S vanishes identically exactly when S(0) = S(1) = 0. S(1) = A(a + b)
-    is the bottom row of M^a applied to (A(b+1), A(b)).
+    reads: cells with equal keys share one `_certificate` scan of the state
+    (M^a, A(b), A(b+1)), whatever their recurrence, and S vanishes
+    identically exactly when S(0) = S(1) = 0, S(1) = A(a + b) being the
+    bottom row of M^a applied to (A(b+1), A(b)).
     """
     fam = _FAMILIES[family]
     recs, primes = tuple(recs), [Prime(p) for p in primes]
@@ -762,26 +763,26 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
         cell_rec = rec if fam.rec is None else None  # only general names it per cell
         for p in primes:
             pi = int(p)
+            rows = _rows(pi, digit_bound)  # refuses digit_bound < 2
             starts = [
                 (rec_term(rec, b, p), rec_term(rec, b + 1, p), fam.seed(rec, b, p, reading) == 1)
                 for b in b_values
             ]
             for a in a_values:
-                m0, m1, m2, m3 = _mat_pow_mod((rec.u, rec.v, 1, 0), a, pi)
+                stride = m0, m1, m2, m3 = _mat_pow_mod((rec.u, rec.v, 1, 0), a, pi)
                 trace, det = (m0 + m3) % pi, (m0 * m3 - m1 * m2) % pi
                 vanishes = fam.vanishing(rec, a, p) == 0
                 for b, (s0, y, seed_is_one) in zip(b_values, starts):
                     s1 = (m2 * y + m3 * s0) % pi
                     key = (pi, s0, s1, trace, det)
-                    verdict = scans.get(key)
-                    if verdict is None:
-                        spec = AffineSequence(rec, AffineIndexMap(a, b), fam.variant)
-                        verdict = scans[key] = lp_bruteforce(spec, p, digit_bound)
-                    cells.append(GridCell(
-                        pi, a, b, vanishes and seed_is_one, verdict.holds, s0 == s1 == 0,
-                        cell_rec, verdict.counterexample,
-                    ))
-    return AgreementReport(fam.theorem, reading, digit_bound, tuple(cells))
+                    if key not in scans:
+                        scans[key] = _certificate(pi, stride, s0, y, 2, rows)
+                    witness = scans[key]
+                    cells.append((pi, a, b, vanishes and seed_is_one, witness is None,
+                                  s0 == s1 == 0, cell_rec, witness))
+    # tuple.__new__ builds each GridCell in C, without its Python __new__
+    cells = tuple(map(partial(tuple.__new__, GridCell), cells))
+    return AgreementReport(fam.theorem, reading, digit_bound, cells)
 
 
 def crossval_theorem1(primes, a_values, b_values, digit_bound: int = 3) -> AgreementReport:

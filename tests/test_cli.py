@@ -215,6 +215,19 @@ def test_enumerate_b_plain_has_prediction_column(capsys):
     assert "predicted" in header and "oracle_holds" in header
 
 
+@pytest.mark.parametrize("argv", [
+    ("crossval", "--theorem", "1", "--prime-bound", "7", "--a-max", "2", "--b-max", "2"),
+    ("crossval", "--theorem", "3", "--prime-bound", "7", "--a-max", "2", "--b-max", "2"),
+    ("enumerate-b", "--a", "1", "--prime", "7"),
+])
+def test_sweeps_refuse_one_digit(capsys, argv):
+    # single-digit n satisfy the congruence identically: a one-digit sweep
+    # would call every cell a pass
+    assert run(capsys, *argv, "--digits", "1") == (
+        2, "", "error: digit_bound must be >= 2, got 1\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # alpha / period / identity / special
 
@@ -703,8 +716,10 @@ TABLE_KEYS = (
     st.sampled_from(["prime", "a", "%", "%s", "%(a)s", '"', 'q"%', "x,y", "é"]) | JSON_TEXT
 )
 # one column: a single scalar type, or any mix of scalars
-MIXED_SCALARS = st.none() | st.booleans() | st.integers() | JSON_TEXT
-COLUMN_VALUES = st.sampled_from([st.integers(), st.booleans(), st.none(), JSON_TEXT, MIXED_SCALARS])
+MIXED_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT
+COLUMN_VALUES = st.sampled_from(
+    [st.integers(), st.booleans(), st.none(), st.floats(), JSON_TEXT, MIXED_SCALARS]
+)
 
 
 @st.composite
@@ -758,6 +773,26 @@ def test_column_path_cases(capsys):
         '    {\n      "%s": null,\n      "q\\"": 7\n    }\n  ]\n}\n'
     )
     assert format_report(Report("demo", {}, table), "csv") == '%s,"q"""\ntrue,"a\nb"\n,7\n'
+
+
+def test_json_table_spells_equal_values_of_each_type_apart():
+    # 1 == True == 1.0 and 0 == False == 0.0 == -0.0 as dict keys, but json
+    # spells each its own way; the strings need escapes, or look like the
+    # text the renderer joins
+    mixed = [1, True, 1.0, 0, False, None, 0.0, -0.0, "1", "%s", 'q"', "a\nb", "é😀", 1]
+    floats = [0.0, -0.0, 1.0, float("nan"), 1e300, -0.0, float("inf"), 0.0, 2.5, -2.5, 1e-300,
+              -0.0, 0.0, 1.0]
+    text = ["%", "%(a)s", '"', "\n", "é", "😀", '"%"', "},\n", "", " ", "%", "\n", "é", "é"]
+    table = cli._Table(("mixed", "%s", 'é"'), (mixed, floats, text))
+    rows = [dict(zip(table.keys, values)) for values in zip(*table.columns)]
+    for level in (0, 1, 3):
+        assert cli._json_table(table, level) == (
+            json.dumps(rows, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
+        )
+    report = Report("demo", {}, table)
+    assert format_report(report, "json") == (
+        reference_json(Report("demo", {}, rows).to_dict()) + "\n"
+    )
 
 
 def test_format_validation():

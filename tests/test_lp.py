@@ -885,12 +885,16 @@ def test_sweep_scans_once_per_distinct_key(monkeypatch):
     # 0,8,8,1 equals Fibonacci mod 7, so the two share every key at p = 7
     recs = (FIBONACCI, LinearRecurrence(0, 8, 8, 1), *PREPERIOD_RECS)
     calls = []
+    certificate = lp_module._certificate
 
-    def counting(spec, p, digit_bound=3):
-        calls.append((spec, p))
-        return lp_bruteforce(spec, p, digit_bound)
+    def counting(*args):
+        calls.append(args)
+        return certificate(*args)
 
-    monkeypatch.setattr(lp_module, "lp_bruteforce", counting)
+    monkeypatch.setattr(lp_module, "_certificate", counting)
+    # the sweep hands the certificate its own state: no spec and no verdict
+    for name in ("AffineSequence", "lp_bruteforce"):
+        monkeypatch.setattr(lp_module, name, None)
     report = crossval_theorem3(recs, SWEEP_PRIMES, SWEEP_A, SWEEP_B)
     keys = {sweep_key(c.rec, c.prime, c.a, c.b) for c in report.cells}
     per_rec = {(c.rec, sweep_key(c.rec, c.prime, c.a, c.b)) for c in report.cells}
@@ -938,8 +942,24 @@ def test_sweep_refuses_bad_strides_and_offsets_and_skips_empty_grids():
         crossval_theorem1((), (0,), (-1,)),
         crossval_theorem2((3,), range(1, 1), range(5), AS_STATED),
         crossval_theorem3((), (5,), (1,), (0,)),
+        crossval_theorem1((5,), (1,), (), digit_bound=1),
     ):
         assert report.cells == ()
+
+
+def test_sweep_refuses_a_digit_bound_below_2():
+    message = "digit_bound must be >= 2, got 1"
+    for sweep in (
+        lambda: crossval_theorem1((7,), (1, 2), (0, 1, 2), digit_bound=1),
+        lambda: crossval_theorem2((7,), (1,), (0,), AS_STATED, digit_bound=1),
+        lambda: crossval_theorem3((PELL,), (7,), (1,), (0,), digit_bound=1),
+        lambda: enumerate_valid_b("fib", 1, 7, digit_bound=1),
+    ):
+        with pytest.raises(ValueError, match=message):
+            sweep()
+    # a bad stride is reported first, as before
+    with pytest.raises(ValueError, match="stride a must be >= 1, got 0"):
+        crossval_theorem1((7,), (0,), (0,), digit_bound=1)
 
 
 @st.composite
