@@ -14,7 +14,7 @@ import io
 import json
 import sys
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import compress, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -43,7 +43,7 @@ from .lp import (
     enumerate_valid_b,
     lp_bruteforce,
 )
-from .special import _apery_terms, _omega_terms, apery_mod, omega_mod
+from .special import _apery_terms, _omega_residues, _omega_terms, apery_mod
 
 __all__ = ["Report", "CsvUnrepresentableError", "format_report", "run_cli"]
 
@@ -56,9 +56,9 @@ class _Table(NamedTuple):
     """Verdict rows held as columns: one sequence of scalars per key, keys
     in first-seen order, at least one row.
 
-    `crossval` hands its grid to the renderers in this form, and they put
-    uniform dict rows in it, so a large report is rendered a column at a
-    time instead of a cell at a time.
+    `crossval`, `enumerate-b` and `special` hand their rows to the
+    renderers in this form, so a large report is rendered a column at a
+    time instead of a cell at a time. Dict rows are rendered one at a time.
     """
 
     keys: tuple[str, ...]
@@ -117,30 +117,6 @@ def _columns(rows) -> list[str]:
     return list(dict.fromkeys(key for row in rows for key in row))
 
 
-def _as_table(rows) -> _Table | None:
-    """rows as a _Table, or None unless they are one: a non-empty list of
-    dicts with the same non-empty str keys and no container value."""
-    if type(rows) is _Table:
-        return rows
-    if (
-        not rows
-        or not isinstance(rows, (list, tuple))
-        or not all(issubclass(t, dict) for t in set(map(type, rows)))
-    ):
-        return None
-    keys = rows[0].keys()
-    if (
-        not keys
-        or not all(type(k) is str for k in keys)
-        or not all(map(keys.__eq__, map(dict.keys, rows)))
-    ):
-        return None
-    columns = tuple(list(map(itemgetter(k), rows)) for k in keys)
-    if _nested(chain.from_iterable(columns)):
-        return None
-    return _Table(tuple(keys), columns)
-
-
 def _csv_column(column):
     # csv.writer writes None as "" and other scalars with str(), as
     # _flatten_row leaves them; only bools need their json spelling
@@ -154,12 +130,12 @@ def _format_csv(report: Report) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    table = _as_table(report.verdicts)
-    if table is not None:
-        writer.writerow(table.keys)
-        writer.writerows(zip(*map(_csv_column, table.columns)))
+    verdicts = report.verdicts
+    if type(verdicts) is _Table:
+        writer.writerow(verdicts.keys)
+        writer.writerows(zip(*map(_csv_column, verdicts.columns)))
         return buf.getvalue()
-    rows = [_flatten_row(r) for r in report.verdicts]
+    rows = [_flatten_row(r) for r in verdicts]
     columns = _columns(rows)
     writer.writerow(columns)
     writer.writerows([list(map(row.get, columns, repeat(""))) for row in rows])
@@ -208,9 +184,8 @@ def _json_table(table: _Table, level: int) -> str:
 
 def _json(value, level: int = 0) -> str:
     """json.dumps(value, sort_keys=True, indent=2), as if nested `level` deep."""
-    table = _as_table(value)
-    if table is not None:
-        return _json_table(table, level)
+    if type(value) is _Table:
+        return _json_table(value, level)
     if not isinstance(value, _CONTAINERS) or not value:
         return _line_encoder(level)(value)  # a scalar, [] or {}
     is_dict = isinstance(value, dict)
@@ -258,7 +233,8 @@ def _format_plain(report: Report) -> str:
         widths = [max(len(k), *map(len, column)) for k, column in zip(keys, cells)]
         lines.append("  ".join(map(str.ljust, keys, widths)).rstrip())
         padded = [map(str.ljust, column, repeat(w)) for column, w in zip(cells, widths)]
-        lines.extend(map(str.rstrip, map("  ".join, zip(*padded))))
+        # dict rows with no keys still print one empty line each
+        lines.extend(map(str.rstrip, map("  ".join, zip(*padded))) if keys else [""] * len(rows))
     if report.agreement is not None:
         lines.append("agreement:")
         for k, v in sorted(report.agreement.items()):
@@ -501,24 +477,28 @@ def _cmd_special(args):
     indices = range(args.n_max + 1)
     inputs = {"seq": args.seq, "n_max": args.n_max}
     if args.prime is None:
-        # one exact stream: each row is one step of the recurrence or convolution
+        # one exact stream: each value is one step of the recurrence or convolution
         terms = _apery_terms() if args.seq == "apery" else _omega_terms()
         # str() refuses ints of more digits than this limit (0: no limit), so
-        # the first such value ends the table before any later row is computed
+        # the first such value ends the table before any later one is computed
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         too_long = 10**limit if limit else None
-        rows = []
+        values = []
         for n, value in zip(indices, terms):
             if too_long is not None and abs(value) >= too_long:
                 raise ValueError(
                     f"Exceeds the limit ({limit} digits) for integer string conversion "
                     f"at n = {n}: pass --prime, or raise the limit with PYTHONINTMAXSTRDIGITS"
                 )
-            rows.append({"n": n, "value": value})
+            values.append(value)
+        rows = _Table(("n", "value"), (indices, values))
     else:
-        modular = apery_mod if args.seq == "apery" else omega_mod
         p = inputs["prime"] = int(args.prime)
-        rows = [{"n": n, "prime": p, "value_mod_p": modular(n, args.prime)} for n in indices]
+        # apery prints the digit-product route per index, by design; a Prime is not re-tested
+        stream = (map(apery_mod, indices, repeat(args.prime)) if args.seq == "apery"
+                  else _omega_residues(p))
+        values = list(islice(stream, len(indices)))
+        rows = _Table(("n", "prime", "value_mod_p"), (indices, [p] * len(indices), values))
     return Report("special", inputs, rows), 0
 
 

@@ -53,7 +53,7 @@ from .sequences import (
     period_mod,
     rec_term,
 )
-from .special import _apery_terms, omega_mod
+from .special import _apery_terms, _omega_residues
 
 __all__ = [
     "AS_PROVED",
@@ -150,7 +150,7 @@ class SequenceSpec:
     # the order k of a recurrence S satisfies mod every p from n = 0 on, or
     # None: k zeros in a row then force all zeros, and the oracle reads rows
     # m <= k and states j < k (see `_certificate`). A spec with an order also
-    # defines _stride_state(p), the state that certificate steps.
+    # defines _stride_state(p), the state the certificate and iter_residues step.
     _order = None
 
     def __eq__(self, other):
@@ -165,8 +165,10 @@ class SequenceSpec:
     __hash__ = tuple.__hash__
 
     def iter_residues(self, p, count: int):
-        """Yield S(0) mod p, ..., S(count-1) mod p."""
-        raise NotImplementedError
+        """Yield S(0) mod p, ..., S(count-1) mod p: a spec with an order
+        steps its _stride_state(p) in O(1) state, the others override this."""
+        p = int(Prime(p))
+        return _stride_terms(self._stride_state(p), p, count)
 
     def residues(self, p, count: int) -> list[int]:
         return list(self.iter_residues(p, count))
@@ -193,10 +195,6 @@ class AffineSequence(
     __slots__ = ()
     _order = 2
 
-    def iter_residues(self, p, count):
-        p = int(Prime(p))
-        return _stride_terms(self._stride_state(p), p, count)
-
     def _stride_state(self, p: int):
         """(M**a, A(b), A(b+1)) mod p: the state (A(a*n+b+1), A(a*n+b)) times
         M**a is the state at n + 1, M the companion matrix of A."""
@@ -218,14 +216,6 @@ class PowerSequence(SequenceSpec, NamedTuple("PowerSequence", [("base", int)])):
     __slots__ = ()
     variant = "power"
     _order = 1
-
-    def iter_residues(self, p, count):
-        p = int(Prime(p))
-        r = 1 % p
-        b = self.base % p
-        for _ in range(count):
-            yield r
-            r = r * b % p
 
     def _stride_state(self, p: int):
         # base**n is A(n) for A(n+1) = base*A(n), A(0) = 1, whose companion
@@ -257,15 +247,14 @@ class AperySequence(SequenceSpec, NamedTuple("AperySequence", [])):
 
 
 class OmegaSequence(SequenceSpec, NamedTuple("OmegaSequence", [])):
-    """S(n) = the nth reciprocal-Bessel coefficient."""
+    """S(n) = the nth reciprocal-Bessel coefficient, read mod p in one pass
+    of `_omega_residues`, which sums the convolution, not a digit product."""
 
     __slots__ = ()
     variant = "omega"
 
     def iter_residues(self, p, count):
-        p = Prime(p)
-        for n in range(count):
-            yield omega_mod(n, p)
+        return islice(_omega_residues(int(Prime(p))), count)
 
     def describe(self):
         return {"variant": self.variant}

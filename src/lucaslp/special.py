@@ -25,14 +25,14 @@ Every digit binomial d!/(k!(d-k)!) is read from factorial and
 inverse-factorial tables mod p, which hold O(p) residues, and are built
 only up to the largest digit asked for (omega reads all p once n >= p).
 
-The exact values come as streams, `_apery_terms` (the recurrence) and
-`_omega_terms` (the convolution), each holding its state only while it is
-read; `apery(n)` stays the definitional sum, the reference for the stream.
+Every sequence comes as a stream that holds its state only while it is
+read: `_apery_terms` and `_omega_terms` exactly, `_omega_residues` mod p.
+`omega(n)` and `omega_mod(n, p)` read one up to n and keep nothing;
+`apery(n)` stays the definitional sum, the reference for the stream.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import count, islice, repeat
 from operator import add, mod, mul
 
@@ -71,8 +71,32 @@ def omega(n: int) -> int:
     return next(islice(_omega_terms(), n, None))
 
 
-class _OmegaResidues:
-    """w(0), w(1), ... mod p, grown in place, and the current group's vector.
+def _group_vector(table: list[int], h: int, p: int, fact, inv_fact) -> list[int]:
+    """The k_h != 0 part of group h of `_omega_residues`, divided by j!^2:
+    the sum over the digit box of h of c(k_h) * table[p*(h-k_h) + j], for
+    j = 0..p-1, mod p. It reads only table entries below p*h."""
+    # one (c(k_h), p*(h - k_h)) pair per k_h whose digits k_i <= h_i, grown
+    # a digit at a time with k_h = 0 first; prod(h_i + 1) <= h + 1 pairs,
+    # fewer than the p*h table entries they read. (-1)^k_h is the product of
+    # the (-1)^(k_i) for odd p, as every p^i is odd
+    terms, place = [(1, 0)], p
+    while h:
+        h, d = divmod(h, p)
+        column = []
+        for k in range(d + 1):
+            c = fact[d] * inv_fact[k] * inv_fact[d - k]
+            column.append((-c * c if k % 2 else c * c, (d - k) * place))
+        terms = [(c * e % p, s + t) for c, s in terms for e, t in column]
+        place *= p
+    acc = [0] * p
+    for c, start in terms[1:]:  # k_h = 0 reads the current group
+        acc = list(map(add, acc, map(mul, repeat(c), table[start:start + p])))
+    return list(map(mod, map(mul, acc, map(mul, inv_fact, inv_fact)), repeat(p)))
+
+
+def _omega_residues(p: int):
+    """Yield w(0), w(1), ... mod p, from the convolution summed one digit
+    group at a time.
 
     Write m = p*h + m0. By Lucas's theorem C(m, k) = C(h, k_h) C(m0, k0)
     mod p for k = p*k_h + k0, so (-1)^k C(m, k)^2 w(m-k) splits into
@@ -88,75 +112,42 @@ class _OmegaResidues:
         group[j] = (sum over k_h != 0 of c(k_h) w(p*(h-k_h) + j)
                     + w(p*h + j) once it is known) / j!^2.
 
-    The k_h != 0 part reads w only below p*h: it is built once per group,
-    from the digit box of h, one p-slice of the table per box term. The
-    k_h = 0 part is added as each w(p*h + j) is found. So each index costs
-    one dot product, and the table only grows up to the largest n asked;
-    below n = p, so do the factorial, signed and group vectors.
+    The k_h != 0 part reads w only below p*h: `_group_vector` builds it once
+    per group. The k_h = 0 part is added as each w(p*h + j) is found. So
+    each index costs one dot product. The prefix table, the signed vector
+    and the group vector live in the generator, so they are freed with it;
+    across the first group they and the factorial tables grow one digit per
+    step, so a small n at a large prime reads small vectors.
     """
-
-    def __init__(self, p: int):
-        self.p = p
-        self.table = [1 % p]
-        self.signed, self.group = [], [1 % p]  # group 0, holding w(0); see upto
-
-    def _cover(self, size: int) -> None:
-        # grow the vectors to cover the digits below size <= p
-        p, have = self.p, len(self.signed)
-        self.fact, self.inv_fact = _factorials_upto(p, size - 1)
-        tail = enumerate(self.inv_fact[have:size], have)
-        self.signed += [(-f * f if t % 2 else f * f) % p for t, f in tail]
-        self.group += [0] * (size - len(self.group))
-
-    def _start_group(self, h: int) -> None:
-        p, table, fact, inv_fact = self.p, self.table, self.fact, self.inv_fact
-        # one (c(k_h), p*(h - k_h)) pair per k_h whose digits k_i <= h_i,
-        # grown a digit at a time with k_h = 0 first; prod(h_i + 1) <= h + 1
-        # pairs, fewer than the p*h table entries they read. (-1)^k_h is the
-        # product of the (-1)^(k_i) for odd p, as every p^i is odd
-        terms, place = [(1, 0)], p
-        while h:
-            h, d = divmod(h, p)
-            column = []
-            for k in range(d + 1):
-                c = fact[d] * inv_fact[k] * inv_fact[d - k]
-                column.append((-c * c if k % 2 else c * c, (d - k) * place))
-            terms = [(c * e % p, s + t) for c, s in terms for e, t in column]
-            place *= p
-        acc = [0] * p
-        for c, start in terms[1:]:  # k_h = 0 reads the current group
-            acc = list(map(add, acc, map(mul, repeat(c), table[start:start + p])))
-        scale = map(mul, inv_fact, inv_fact)
-        self.group = list(map(mod, map(mul, acc, scale), repeat(p)))
-
-    def upto(self, n: int) -> list[int]:
-        p, table = self.p, self.table
-        if len(self.signed) <= min(n, p - 1):
-            self._cover(min(n, p - 1) + 1)
-        fact, signed = self.fact, self.signed
-        while len(table) <= n:
-            h, m0 = divmod(len(table), p)
-            if m0 == 0:
-                self._start_group(h)
-            group = self.group
-            conv = sum(map(mul, group, signed[m0::-1])) % p
-            w = -fact[m0] * fact[m0] * conv % p
-            table.append(w)
-            group[m0] = (group[m0] + w * self.inv_fact[m0] ** 2) % p
-        return table
-
-
-@lru_cache(maxsize=4)
-def _omega_mod_residues(p: int) -> _OmegaResidues:
-    return _OmegaResidues(p)
+    table, signed, group = [1], [1], [1]  # group 0 holds w(0) = 1 / 0!^2
+    yield 1
+    for m in count(1):
+        h, m0 = divmod(m, p)
+        if not h:
+            fact, inv_fact = _factorials_upto(p, m0)
+            f = inv_fact[m0]
+            signed.append((-f * f if m0 % 2 else f * f) % p)
+            group.append(0)
+        elif not m0:
+            group = _group_vector(table, h, p, fact, inv_fact)
+        conv = sum(map(mul, group, signed[m0::-1])) % p
+        w = -fact[m0] * fact[m0] * conv % p
+        table.append(w)
+        group[m0] = (group[m0] + w * inv_fact[m0] ** 2) % p
+        yield w
 
 
 def omega_mod(n: int, p) -> int:
-    """w(n) mod p from the same convolution, summed one digit group at a time."""
+    """w(n) mod p, read from the stream `_omega_residues` up to n.
+
+    Nothing is kept after it returns, so each call costs O(n) steps from
+    w(0): a caller that needs many indices should read the stream once, as
+    the oracle and `special --prime` do, not call this once per index.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     p = int(Prime(p))
-    return _omega_mod_residues(p).upto(n)[n]
+    return next(islice(_omega_residues(p), n, None))
 
 
 def _apery_terms():

@@ -739,9 +739,6 @@ def test_column_path_matches_dict_rows(case):
     rows = [dict(zip(keys, values)) for values in zip(*columns)]
     # as crossval hands a grid: a table, or [] when it has no cells
     table = cli._Table(tuple(keys), tuple(columns)) if rows else []
-    if rows:
-        # uniform dict rows take the same column path
-        assert cli._as_table(rows) == table
     expected = Report("demo", {}, rows)
     for verdicts in (table, rows):
         report = Report("demo", {}, verdicts)
@@ -750,12 +747,19 @@ def test_column_path_matches_dict_rows(case):
         assert format_report(report, "plain") == reference_plain(expected)
 
 
+def render_outcome(render, report):
+    try:
+        return "ok", render(report)
+    except (AttributeError, TypeError) as exc:
+        return "error", type(exc)
+
+
 def test_column_path_cases(capsys):
     # an empty grid prints the empty csv header line, as it always has
     code, out, _ = run(capsys, "crossval", "--theorem", "1", "--a-max", "0", "--format", "csv")
     assert (code, out) == (0, "\n")
     assert format_report(Report("demo", {}, []), "csv") == "\n"
-    # rows that are not uniform, or not flat, keep the per-row path
+    # rows that are not uniform, or not flat, take the per-row path
     for rows in (
         [{"a": 1}, {"b": 2}],
         [{"a": 1}, {"a": 2, "b": 3}],
@@ -765,7 +769,14 @@ def test_column_path_cases(capsys):
         [{1: "x"}],
         [{"a": 1}, 2],
     ):
-        assert cli._as_table(rows) is None
+        # plain of [{1: "x"}], and csv and plain of [{"a": 1}, 2], raise in both
+        report = Report("demo", {}, rows)
+        for render, reference in (
+            (lambda r: format_report(r, "json"), lambda r: reference_json(r.to_dict()) + "\n"),
+            (lambda r: format_report(r, "csv"), reference_csv),
+            (lambda r: format_report(r, "plain"), reference_plain),
+        ):
+            assert render_outcome(render, report) == render_outcome(reference, report), rows
     table = cli._Table(("%s", 'q"'), ([True, None], ["a\nb", 7]))
     assert format_report(Report("demo", {}, table), "json") == (
         '{\n  "command": "demo",\n  "inputs": {},\n  "verdicts": [\n'

@@ -190,6 +190,15 @@ def test_spec_describe():
 def test_power_sequence_residues():
     assert PowerSequence(3).residues(5, 5) == [1, 3, 4, 2, 1]
     assert PowerSequence(5).residues(5, 3) == [1, 0, 0]  # 5**0 = 1 first
+    assert PowerSequence(0).residues(7, 4) == [1, 0, 0, 0]
+    assert PowerSequence(-2).residues(5, 4) == [1, 3, 4, 2]
+    p = 1000000000039
+    assert PowerSequence(3 * p).residues(p, 3) == [1, 0, 0]
+    assert PowerSequence(-p - 3).residues(p, 3) == [1, p - 3, 9]
+    for base, p, count in ((3, 5, 7), (-2, 5, 6), (0, 2, 3), (10**20 + 1, 13, 20)):
+        spec = PowerSequence(base)
+        expected = [pow(base, n, p) for n in range(count)]
+        assert list(spec.iter_residues(p, count)) == spec.residues(p, count) == expected
 
 
 def test_table_sequence_too_short():

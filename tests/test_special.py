@@ -4,6 +4,7 @@ The exact omega values are cross-checked against a second, structurally
 different oracle: inverting the defining power series over the rationals.
 """
 
+import gc
 import os
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from lucaslp.lp import AperySequence, OmegaSequence, TableSequence, lp_bruteforce
 from lucaslp.modmath import _factorials_mod, binomial_mod_lucas, primes_upto
 from lucaslp.special import (
-    _apery_terms, _omega_mod_residues, _omega_terms, apery, apery_mod, omega, omega_mod,
+    _apery_terms, _omega_residues, _omega_terms, apery, apery_mod, omega, omega_mod,
 )
 
 OMEGA_FIRST = [
@@ -126,6 +127,21 @@ def test_omega_keeps_no_table_after_it_returns():
     assert held - sys.getsizeof(value) < 10_000
 
 
+def test_omega_mod_keeps_no_table_after_it_returns():
+    # a 4-prime cache of per-prime prefix tables held 17.7 kB after this call
+    omega_mod(20, 13)  # imports and full factorial tables outside the traced window
+    tracemalloc.start()
+    try:
+        value = omega_mod(2000, 13)
+        gc.collect()  # a full collection empties the tuple and list free lists
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 4_000
+    # 2000 has base-13 digits (11, 10, 11), and omega has the Lucas property
+    assert value == omega(11) ** 2 * omega(10) % 13
+
+
 def test_omega_mod_matches_exact():
     for p in primes_upto(13):
         for n in range(61):
@@ -136,32 +152,28 @@ def test_omega_mod_matches_exact():
 
 def test_omega_mod_tables_are_bounded():
     primes = (17, 19, 23, 29, 31)
-    for p in primes + primes[:1]:  # the first table is evicted, then rebuilt
+    for p in primes + primes[:1]:  # the first prime again, after four others
         assert [omega_mod(n, p) for n in range(30)] == [omega(n) % p for n in range(30)], p
-    assert _omega_mod_residues.cache_info().currsize <= 4
 
 
 @pytest.mark.parametrize("p, count", [(2, 2**3), (3, 3**3), (5, 5**3), (7, 7**3), (3, 3**5)])
 def test_omega_mod_groups_match_full_convolution(p, count):
     # every index below p^3 (and 3^5) spans several digit groups of p
     # indices, with k_h != 0 terms reaching back across groups
-    _omega_mod_residues.cache_clear()
-    assert [omega_mod(n, p) for n in range(count)] == [
-        omega_mod_reference(n, p) for n in range(count)
-    ]
+    expected = [omega_mod_reference(n, p) for n in range(count)]
+    assert [omega_mod(n, p) for n in range(count)] == expected
+    assert list(OmegaSequence().iter_residues(p, count)) == expected
+    assert list(islice(_omega_residues(p), count)) == expected
 
 
 def test_omega_mod_out_of_order_queries():
-    _omega_mod_residues.cache_clear()
     assert omega_mod(200, 5) == omega_mod_reference(200, 5)
     for n in (7, 0, 124, 25, 3, 200):
         assert omega_mod(n, 5) == omega_mod_reference(n, 5), n
-    # five primes in turn through a 4-entry cache: each state is evicted
-    # and rebuilt between its queries
+    # five primes in turn: each query reads its own stream from w(0)
     for n in (40, 3, 97, 0, 26, 130):
         for p in (2, 3, 5, 7, 11):
             assert omega_mod(n, p) == omega_mod_reference(n, p), (n, p)
-    assert _omega_mod_residues.cache_info().currsize <= 4
 
 
 def test_small_queries_at_a_large_prime_do_no_quadratic_work():
@@ -169,7 +181,6 @@ def test_small_queries_at_a_large_prime_do_no_quadratic_work():
     p = 100003
     for n, modular, exact in [(n, omega_mod, omega) for n in range(4)] + [(1, apery_mod, apery)]:
         _factorials_mod.cache_clear()
-        _omega_mod_residues.cache_clear()
         t0 = time.perf_counter()
         value = modular(n, p)
         elapsed = time.perf_counter() - t0
@@ -182,7 +193,6 @@ def test_omega_at_a_large_prime_grows_its_vectors_only_to_n():
     # `special --seq omega --n 3 --prime 1000003`
     p = 1000003
     _factorials_mod.cache_clear()
-    _omega_mod_residues.cache_clear()
     tracemalloc.start()
     try:
         values = [omega_mod(n, p) for n in range(4)]
@@ -191,14 +201,11 @@ def test_omega_at_a_large_prime_grows_its_vectors_only_to_n():
         tracemalloc.stop()
     assert values == [omega_mod_reference(n, p) for n in range(4)] == [1, 1, 3, 19]
     assert peak < 100_000
-    state = _omega_mod_residues(p)
-    assert len(state.signed) == len(state.group) == 4
 
 
 @pytest.mark.parametrize("p", [2, 5, 7, 11])
 def test_omega_vectors_grow_across_the_first_group(p):
     # small queries first, then one that starts groups h >= 1
-    _omega_mod_residues.cache_clear()
     for n in (0, 1, 3, p - 2, p - 1, p, 3 * p + 1, 2, p * p + 3):
         assert omega_mod(n, p) == omega_mod_reference(n, p), (n, p)
 
