@@ -4,7 +4,8 @@ Reports are machine-readable (json by default, csv or plain on request) and
 deterministic: identical invocations produce byte-identical output. Exit
 codes follow one contract everywhere: 0 when every checked property holds
 (or a listing completed), 1 when a counterexample or disagreement was found,
-2 for usage errors such as composite moduli or malformed recurrences.
+2 for usage errors such as composite moduli or malformed recurrences, and
+when the inputs need more memory than there is.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import io
 import json
 import sys
-from functools import lru_cache
 from itertools import compress, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -143,23 +143,11 @@ def _format_csv(report: Report) -> str:
 
 
 # json.dumps(indent=2) always runs json's pure-Python encoder, one generator
-# frame per value. With indent=None, JSONEncoder.encode runs the C encoder,
-# and the separator ",\n" + pad puts each entry of a flat container on its own
-# line at that pad. Raw newlines appear in encoded JSON only inside separators
-# (strings escape them), which the column splitting below relies on.
-_CONTAINERS = (dict, list, tuple)
+# frame per value. A table takes json's C encoder instead (indent=None), once
+# per column for its distinct values, with a bare "\n" as the item separator:
+# encoded strings escape their newlines, so splitting on "\n" gives one
+# spelling per value.
 _encode_column = json.JSONEncoder(separators=("\n", ": ")).encode
-
-
-@lru_cache(maxsize=16)
-def _line_encoder(level: int):
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * level, ": ")).encode
-
-
-def _nested(values) -> bool:
-    # one type() per value in C, then one test per distinct type: a test per
-    # value in Python would cost as much as encoding a large report
-    return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
 
 
 def _json_table(table: _Table, level: int) -> str:
@@ -182,27 +170,16 @@ def _json_table(table: _Table, level: int) -> str:
     return "[" + inner + "{" + rows + inner + "}" + outer + "]"
 
 
-def _json(value, level: int = 0) -> str:
-    """json.dumps(value, sort_keys=True, indent=2), as if nested `level` deep."""
-    if type(value) is _Table:
-        return _json_table(value, level)
-    if not isinstance(value, _CONTAINERS) or not value:
-        return _line_encoder(level)(value)  # a scalar, [] or {}
-    is_dict = isinstance(value, dict)
-    outer = "\n" + "  " * level
-    inner = outer + "  "
-    if not _nested(value.values() if is_dict else value):
-        text = _line_encoder(level + 1)(value)
-        return text[0] + inner + text[1:-1] + outer + text[-1]
-    if not is_dict:
-        parts = [_json(v, level + 1) for v in value]
-        return "[" + inner + ("," + inner).join(parts) + outer + "]"
-    if not all(type(k) is str for k in value):
-        # json converts other keys to str itself; leave those to it
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", outer)
-    key = _line_encoder(level)
-    parts = [key(k) + ": " + _json(value[k], level + 1) for k in sorted(value)]
-    return "{" + inner + ("," + inner).join(parts) + outer + "}"
+def _format_json(report: Report) -> str:
+    """json.dumps(report.to_dict(), sort_keys=True, indent=2) and a newline."""
+    fields = report.to_dict()
+    if type(report.verdicts) is not _Table:
+        return json.dumps(fields, sort_keys=True, indent=2) + "\n"
+    # only the table takes its own path; inputs and agreement are nested one deep
+    parts = [json.dumps(key) + ": " + (_json_table(value, 1) if key == "verdicts" else
+             json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+             for key, value in sorted(fields.items())]
+    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
 
 
 def _plain_scalar(value) -> str:
@@ -245,7 +222,7 @@ def _format_plain(report: Report) -> str:
 def format_report(report: Report, fmt: str = "json") -> str:
     """Render a report in one of the supported output formats."""
     if fmt == "json":
-        return _json(report.to_dict()) + "\n"
+        return _format_json(report)
     if fmt == "csv":
         return _format_csv(report)
     if fmt == "plain":
@@ -715,6 +692,9 @@ def run_cli(argv=None) -> int:
         text = format_report(report, args.format)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: {args.command}: out of memory", file=sys.stderr)
         return 2
     sys.stdout.write(text)
     return code

@@ -48,6 +48,7 @@ from .sequences import (
     PELL,
     LinearRecurrence,
     _mat_pow,
+    _stride_terms,
     fib_mod,
     lucas_mod,
     period_mod,
@@ -119,15 +120,6 @@ class AffineIndexMap(NamedTuple("AffineIndexMap", [("a", int), ("b", int)])):
 # matrix powers mod p, memoized: a sweep asks for the same stride M**a and
 # the same row jumps (M**a)**(p*m) for every offset b
 _mat_pow_mod = lru_cache(maxsize=4096)(_mat_pow)
-
-
-def _stride_terms(state, p: int, count: int):
-    """Yield S(0), ..., S(count-1) mod p from a spec's _stride_state(p), in
-    O(1) state: each step is four products, the state times the stride."""
-    (m0, m1, m2, m3), x, y = state
-    for _ in range(count):
-        yield x
-        x, y = (m2 * y + m3 * x) % p, (m0 * y + m1 * x) % p
 
 
 # ---------------------------------------------------------------------------

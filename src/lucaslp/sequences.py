@@ -23,7 +23,7 @@ factored, by trial division and Pollard-Brent rho under a step budget.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count
 from math import gcd
 from typing import NamedTuple
 
@@ -132,6 +132,16 @@ def _mat_pow(m, e: int, p: int | None):
         if p is not None:
             a, b, c, d = a % p, b % p, c % p, d % p
     return a, b, c, d
+
+
+def _stride_terms(state, p: int, length: int):
+    """Yield S(0), ..., S(length-1) mod p from state = (stride, S(0), S(1)):
+    (S(n+1), S(n)) steps by the stride, four products. The companion matrix
+    (u, v, 1, 0) as the stride steps the recurrence itself."""
+    (m0, m1, m2, m3), x, y = state
+    for _ in range(length):
+        yield x
+        x, y = (m2 * y + m3 * x) % p, (m0 * y + m1 * x) % p
 
 
 # the largest working set measured is about 1400 terms (a theorem-3 grid)
@@ -285,15 +295,6 @@ def _least_order(p: int, holds) -> int:
     return _least(p * (p * p - 1), sorted(primes), holds)
 
 
-def _states(rec: LinearRecurrence, p: int):
-    # the state pairs (A(n), A(n+1)) mod p for n = 0, 1, 2, ...
-    x, y = rec.a0 % p, rec.a1 % p
-    u, v = rec.u % p, rec.v % p
-    while True:
-        yield x, y
-        x, y = y, (u * y + v * x) % p
-
-
 def period_mod(rec: LinearRecurrence, p, scan_limit: int | None = None) -> PeriodInfo:
     """Minimal (preperiod, period) of A(n) mod p as a state-pair sequence.
 
@@ -305,12 +306,13 @@ def period_mod(rec: LinearRecurrence, p, scan_limit: int | None = None) -> Perio
     p + 1 do not factor within the step budget.
     """
     p = int(Prime(p))
-    u, v = rec.u % p, rec.v % p
-    states = list(islice(_states(rec, p), 3))
+    companion = (rec.u % p, rec.v % p, 1, 0)
+    terms = list(_stride_terms((companion, rec.a0 % p, rec.a1 % p), p, 4))
+    states = list(zip(terms, terms[1:]))  # (A(i), A(i+1)) for i = 0, 1, 2
 
     def returns(d, state):
         # M^d (A(i+1), A(i)) = (A(i+1+d), A(i+d))
-        m0, m1, m2, m3 = _mat_pow((u, v, 1, 0), d, p)
+        m0, m1, m2, m3 = _mat_pow(companion, d, p)
         x, y = state
         return (m0 * y + m1 * x) % p == y and (m2 * y + m3 * x) % p == x
 
@@ -330,7 +332,9 @@ def term_table_mod(rec: LinearRecurrence, p, scan_limit: int | None = None):
     preperiod fold down with period per.
     """
     info = period_mod(rec, p, scan_limit)
-    return info, [x for x, _ in islice(_states(rec, int(p)), info.preperiod + info.period)]
+    p = int(p)
+    state = ((rec.u % p, rec.v % p, 1, 0), rec.a0 % p, rec.a1 % p)
+    return info, list(_stride_terms(state, p, info.preperiod + info.period))
 
 
 def alpha(p, scan_limit: int | None = None) -> int:

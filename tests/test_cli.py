@@ -269,6 +269,19 @@ def test_factoring_budget_exits_2(capsys, monkeypatch):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    for callee, argv in (
+        ("enumerate_valid_b", ("enumerate-b", "--a", "1", "--prime", "5")),
+        ("primes_upto", ("crossval", "--theorem", "1")),
+    ):
+        monkeypatch.setattr(cli, callee, exhausted)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {argv[0]}: out of memory\n")
+
+
 def test_identity_subcommand(capsys):
     code, report = run_json(capsys, "identity", "--which", "catalan", "--n-max", "60")
     assert code == 0
@@ -599,17 +612,7 @@ def reference_json(value):
 @settings(max_examples=100, deadline=None)
 @given(json_values(JSON_TEXT) | json_values(st.integers()))
 def test_json_renderer_matches_indented_dumps(value):
-    assert cli._json(value) == reference_json(value)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.dictionaries(JSON_TEXT, json_values(JSON_TEXT), max_size=3),
-    FLAT_ROWS | st.lists(json_values(JSON_TEXT), max_size=3),
-    st.none() | st.dictionaries(JSON_TEXT, FLAT_ROWS | JSON_SCALARS, max_size=3),
-)
-def test_json_report_matches_indented_dumps(inputs, verdicts, agreement):
-    report = Report("demo", inputs, verdicts, agreement)
+    report = Report("demo", {}, [], value)
     assert format_report(report, "json") == reference_json(report.to_dict()) + "\n"
 
 
@@ -723,9 +726,9 @@ COLUMN_VALUES = st.sampled_from(
 
 
 @st.composite
-def uniform_tables(draw):
+def uniform_tables(draw, min_height=0):
     keys = draw(st.lists(TABLE_KEYS, min_size=1, max_size=4, unique=True))
-    height = draw(st.integers(0, 5))
+    height = draw(st.integers(min_height, 5))
     columns = [
         draw(st.lists(draw(COLUMN_VALUES), min_size=height, max_size=height)) for _ in keys
     ]
@@ -745,6 +748,23 @@ def test_column_path_matches_dict_rows(case):
         assert format_report(report, "json") == reference_json(expected.to_dict()) + "\n"
         assert format_report(report, "csv") == reference_csv(expected)
         assert format_report(report, "plain") == reference_plain(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(JSON_TEXT, json_values(JSON_TEXT), max_size=3),
+    FLAT_ROWS
+    | st.lists(json_values(JSON_TEXT), max_size=3)
+    | uniform_tables(min_height=1).map(lambda case: cli._Table(*map(tuple, case))),
+    st.none() | st.dictionaries(JSON_TEXT, FLAT_ROWS | JSON_SCALARS, max_size=3),
+)
+def test_json_report_matches_indented_dumps(inputs, verdicts, agreement):
+    report = Report("demo", inputs, verdicts, agreement)
+    if type(verdicts) is cli._Table:
+        # the reference renders the table's rows as dicts
+        verdicts = [dict(zip(verdicts.keys, values)) for values in zip(*verdicts.columns)]
+    expected = report._replace(verdicts=verdicts)
+    assert format_report(report, "json") == reference_json(expected.to_dict()) + "\n"
 
 
 def render_outcome(render, report):
