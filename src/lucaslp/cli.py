@@ -39,6 +39,7 @@ from .lp import (
     TableSequence,
     THEOREM3_DEFAULT_RECS,
     _FAMILIES,
+    _clauses,
     corollary1_counterexample,
     enumerate_valid_b,
     lp_bruteforce,
@@ -330,15 +331,14 @@ def _cmd_lp_check(args):
 
 def _cmd_theorem(args):
     fam, (rec,), reading = _affine(args, _BY_THEOREM[args.which], "--which {theorem}")
-    p = args.prime
-    AffineIndexMap(args.a, args.b)  # refuses a < 1 and b < 0
-    inputs = {"theorem": fam.theorem, "prime": int(p), "a": args.a, "b": args.b}
+    index_map = AffineIndexMap(args.a, args.b)  # refuses a < 1 and b < 0
+    inputs = {"theorem": fam.theorem, "prime": int(args.prime), "a": args.a, "b": args.b}
     row = dict(inputs)
     if reading:
         row["reading"] = reading
     if fam.rec is None:
         row["rec"] = rec.as_string()
-    vanishing, seed = fam.vanishing(rec, args.a, p), fam.seed(rec, args.b, p, reading)
+    vanishing, seed = _clauses(fam, rec, index_map, args.prime, reading)
     row.update(zip(fam.clauses, (vanishing, seed)))
     row["condition"] = condition = vanishing == 0 and seed == 1
     return Report("theorem", inputs, [row]), (0 if condition else 1)

@@ -21,13 +21,14 @@ of 211**3 terms. Table, Apery and omega specs are read as one stream.
 
 Every affine subsequence S(n) = A(a*n + b) of a second-order recurrence is
 one `AffineSequence`; a family table maps "fib", "lucas" and "general" to
-their recurrence and their criterion, a vanishing residue that must be 0
-and a seed residue that must be 1 mod p. A single in-process sweep drives
-the crossval entry points and the valid-offset enumeration. S satisfies
+their recurrence and their criterion, theorem 3's rule on fixed data: a
+vanishing residue c*s(a-1) that must be 0 and a seed residue A(b) that must
+be 1 mod p (`_clauses`). A single in-process sweep drives the crossval
+entry points and the valid-offset enumeration. S satisfies
 x^2 - tr(M^a)*x + det(M^a) mod p from n = 0 on, so the key
 (p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue of S. The sweep
 runs the oracle's certificate once per key, on the M^a, A(b) and A(b+1) it
-holds, and reads the vanishing residue once per stride, the seed per offset.
+holds, and reads both clauses there: s(a-1) is the bottom-left entry of M^a.
 
 A sequence that vanishes identically mod p satisfies the congruence
 vacuously; by the same recurrence it does so exactly when S(0) = S(1) = 0.
@@ -49,8 +50,6 @@ from .sequences import (
     LinearRecurrence,
     _mat_pow,
     _stride_terms,
-    fib_mod,
-    lucas_mod,
     period_mod,
     rec_term,
 )
@@ -434,6 +433,8 @@ def sequence_is_zero_mod(spec: SequenceSpec, p, digit_bound: int = 3) -> bool:
     those passes instead of counting them as evidence. A spec of recurrence
     order k is read for k terms at most, as k zeros force all zeros.
     """
+    if digit_bound < 1:
+        raise ValueError(f"digit_bound must be >= 1, got {digit_bound}")
     p = Prime(p)
     count = int(p) ** digit_bound
     return all(r == 0 for r in spec.iter_residues(p, min(count, spec._order or count)))
@@ -500,14 +501,25 @@ def _check_reading(reading: str) -> str:
     return reading
 
 
+def _clauses(fam, rec: LinearRecurrence, index_map: AffineIndexMap, p, reading=None):
+    """(vanishing, seed) residues mod p of an affine criterion, which holds
+    iff they are 0 and 1.
+
+    Every criterion is theorem 3's: the vanishing residue is c * s(a-1) with
+    c = v * (v A0^2 + u A0 A1 - A1^2), and s(a-1) is the bottom-left entry of
+    M**a, M = (u, v, 1, 0) the companion matrix of A. On Lucas data c = 5;
+    the Fibonacci family negates c, as it reports F(a) = s(a-1). The seed
+    residue is A(b), or F(b) under theorem 2's as-stated reading. `_sweep`
+    reads both from the M**a and A(b) it holds.
+    """
+    p = int(Prime(p))
+    stride = _mat_pow_mod((rec.u, rec.v, 1, 0), index_map.a, p)
+    c = fam.sign * rec.v * rec.seed_discriminant()
+    return c * stride[2] % p, rec_term(FIBONACCI if reading == AS_STATED else rec, index_map.b, p)
+
+
 def _holds(family: str, rec, index_map: AffineIndexMap, p, reading=None) -> bool:
-    """Vanishing residue 0, then (only if so) seed residue 1 mod p."""
-    fam = _FAMILIES[family]
-    p = Prime(p)
-    return (
-        fam.vanishing(rec, index_map.a, p) == 0
-        and fam.seed(rec, index_map.b, p, reading) == 1
-    )
+    return _clauses(_FAMILIES[family], rec, index_map, p, reading) == (0, 1)
 
 
 def theorem1_condition(index_map: AffineIndexMap, p) -> bool:
@@ -544,39 +556,24 @@ class _Family(NamedTuple):
     variant: str
     reading: str | None  # default seed-clause reading; None where there is no choice
     clauses: tuple[str, str]  # report columns of the vanishing and the seed residue
-    vanishing: Callable  # (rec, a, p) -> the residue mod p that must be 0
-    seed: Callable  # (rec, b, p, reading) -> the residue mod p that must be 1
+    sign: int  # of c relative to theorem 3's (see `_clauses`)
     crossval: Callable  # (recs, primes, a_values, b_values, reading, digits) -> report
 
 
-def _theorem3_vanishing(rec: LinearRecurrence, a: int, p) -> int:
-    """v * s(a-1) * (v A0^2 + u A0 A1 - A1^2) mod p, where s(k) is the
-    recurrence with seeds (1, u) and A's coefficients (u, v)."""
-    s_rec = LinearRecurrence(1, rec.u, rec.u, rec.v)
-    return rec.v * rec.seed_discriminant() * rec_term(s_rec, a - 1, p) % p
-
-
-# Every residue takes O(log a + log b) multiplications mod p. The crossval
-# entry points and sequence functions are looked up by module-level name at
-# call time, so rebinding one of them on the module (as perfbench/tracer.py
-# does) reaches every user of this table.
+# The crossval entry points are looked up by module-level name at call time,
+# so rebinding one of them on the module (as perfbench/tracer.py does)
+# reaches every user of this table.
 _FAMILIES = {
     "fib": _Family(
-        1, FIBONACCI, "fib-affine", None, ("fib_a_mod_p", "fib_b_mod_p"),
-        lambda rec, a, p: fib_mod(a, p),
-        lambda rec, b, p, reading: fib_mod(b, p),
+        1, FIBONACCI, "fib-affine", None, ("fib_a_mod_p", "fib_b_mod_p"), -1,
         lambda recs, primes, a, b, reading, d: crossval_theorem1(primes, a, b, d),
     ),
     "lucas": _Family(
-        2, LUCAS_NUMBERS, "lucas-affine", AS_PROVED, ("five_fib_a_mod_p", "seed_term_mod_p"),
-        lambda rec, a, p: 5 * fib_mod(a, p) % p,
-        lambda rec, b, p, reading: (lucas_mod if reading == AS_PROVED else fib_mod)(b, p),
+        2, LUCAS_NUMBERS, "lucas-affine", AS_PROVED, ("five_fib_a_mod_p", "seed_term_mod_p"), 1,
         lambda recs, primes, a, b, reading, d: crossval_theorem2(primes, a, b, reading, d),
     ),
     "general": _Family(
-        3, None, "general-affine", None, ("vanishing_factor_mod_p", "term_b_mod_p"),
-        _theorem3_vanishing,
-        lambda rec, b, p, reading: rec_term(rec, b, p),
+        3, None, "general-affine", None, ("vanishing_factor_mod_p", "term_b_mod_p"), 1,
         lambda recs, primes, a, b, reading, d: crossval_theorem3(recs, primes, a, b, d),
     ),
 }
@@ -726,7 +723,9 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
     reads: cells with equal keys share one `_certificate` scan of the state
     (M^a, A(b), A(b+1)), whatever their recurrence, and S vanishes
     identically exactly when S(0) = S(1) = 0, S(1) = A(a + b) being the
-    bottom row of M^a applied to (A(b+1), A(b)).
+    bottom row of M^a applied to (A(b+1), A(b)). The criterion's clauses
+    (`_clauses`) come from the same state: s(a-1) is the bottom-left entry
+    of M^a and the seed is S(0), or F(b) under theorem 2's as-stated reading.
     """
     fam = _FAMILIES[family]
     recs, primes = tuple(recs), [Prime(p) for p in primes]
@@ -742,24 +741,24 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
     cells = []
     for rec in recs:
         cell_rec = rec if fam.rec is None else None  # only general names it per cell
+        c = fam.sign * rec.v * rec.seed_discriminant()
         for p in primes:
             pi = int(p)
             rows = _rows(pi, digit_bound)  # refuses digit_bound < 2
-            starts = [
-                (rec_term(rec, b, p), rec_term(rec, b + 1, p), fam.seed(rec, b, p, reading) == 1)
-                for b in b_values
-            ]
+            starts = [(rec_term(rec, b, p), rec_term(rec, b + 1, p)) for b in b_values]
+            seeds = [rec_term(FIBONACCI, b, p) if reading == AS_STATED else s0
+                     for b, (s0, _) in zip(b_values, starts)]
             for a in a_values:
                 stride = m0, m1, m2, m3 = _mat_pow_mod((rec.u, rec.v, 1, 0), a, pi)
                 trace, det = (m0 + m3) % pi, (m0 * m3 - m1 * m2) % pi
-                vanishes = fam.vanishing(rec, a, p) == 0
-                for b, (s0, y, seed_is_one) in zip(b_values, starts):
+                vanishes = c * m2 % pi == 0
+                for b, (s0, y), seed in zip(b_values, starts, seeds):
                     s1 = (m2 * y + m3 * s0) % pi
                     key = (pi, s0, s1, trace, det)
                     if key not in scans:
                         scans[key] = _certificate(pi, stride, s0, y, 2, rows)
                     witness = scans[key]
-                    cells.append((pi, a, b, vanishes and seed_is_one, witness is None,
+                    cells.append((pi, a, b, vanishes and seed == 1, witness is None,
                                   s0 == s1 == 0, cell_rec, witness))
     # tuple.__new__ builds each GridCell in C, without its Python __new__
     cells = tuple(map(partial(tuple.__new__, GridCell), cells))

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve criteria, one printed pass/fail line each.
+"""Acceptance gate: fourteen criteria, one printed pass/fail line each.
 
 Each criterion pins a verification result at desk scale: exhaustive grids,
 exact identity sweeps, and golden values frozen from independent naive
@@ -33,16 +33,18 @@ from lucaslp.lp import (
     lp_bruteforce,
     lucas_affine,
 )
-from lucaslp.modmath import binomial_mod_lucas, digits_base_p, primes_upto
+from lucaslp.modmath import binomial_mod_lucas, digits_base_p, is_prime, primes_upto
 from lucaslp.sequences import (
     FIBONACCI,
     LUCAS_NUMBERS,
     PELL,
     LinearRecurrence,
+    ScanExhaustedError,
     fib,
     fib_mod,
     lucas_mod,
     alpha,
+    period_mod,
     s_poly,
     t_poly,
 )
@@ -344,4 +346,68 @@ def test_criterion_12_failing_prime_search(capsys):
         report_line(
             12, "failing prime search with verified witnesses", ok,
             f"36 stride/offset pairs, failures: {failures if failures else 'none'}",
+        )
+
+
+def test_criterion_13_fib_and_lucas_criteria_at_large_primes(capsys):
+    # plain ranges a <= a_max never reach F(a) = 0 at a large prime, so the
+    # grid sits at multiples of the rank of apparition alpha and the offsets
+    # near 0, the period and alpha
+    t0 = time.perf_counter()
+    rng = random.Random(21)
+    primes = []
+    while len(primes) < 40:
+        q = rng.randrange(10**6, 10**15)
+        if is_prime(q):
+            primes.append(q)
+    cells = passes = proved_bad = stated_bad = skipped = 0
+    for p in primes:
+        try:
+            k, per = alpha(p), period_mod(FIBONACCI, p).period
+        except ScanExhaustedError:
+            skipped += 1
+            continue
+        a_values = sorted({t * k + d for t in (1, 2, 3) for d in (-1, 0, 1)})  # k >= 3, a >= 2
+        b_values = sorted({*range(4), *range(per - 1, per + 3), *range(k - 1, k + 3)})
+        proved = (crossval_theorem1((p,), a_values, b_values),
+                  crossval_theorem2((p,), a_values, b_values))
+        stated = crossval_theorem2((p,), a_values, b_values, reading=AS_STATED)
+        for report in (*proved, stated):
+            cells += len(report.cells)
+            passes += sum(c.oracle_holds and not c.identically_zero for c in report.cells)
+        proved_bad += sum(len(report.disagreements) for report in proved)
+        stated_bad += len(stated.disagreements)
+    elapsed = time.perf_counter() - t0
+    ok = proved_bad == 0 and stated_bad > 0 and passes > 0
+    with capsys.disabled():
+        report_line(
+            13, "fib/lucas criteria vs oracle, 40 primes in [1e6, 1e15]", ok,
+            f"{cells} cells, {passes} non-vacuous passes, as-proved {proved_bad} "
+            f"and as-stated {stated_bad} disagreements, {skipped} primes skipped, "
+            f"{elapsed:.2f}s",
+        )
+
+
+def test_criterion_14_general_criterion_on_random_recurrences(capsys):
+    # the criterion's vanishing clause carries the factor v, so at p | v it
+    # reduces to A(b) = 1; the oracle disagrees there, and only there
+    t0 = time.perf_counter()
+    rng = random.Random(3)
+    recs = [LinearRecurrence(*(rng.randint(-6, 6) for _ in range(4))) for _ in range(120)]
+    sweep = crossval_theorem3(recs, primes_upto(31), range(1, 13), range(13))
+    elapsed = time.perf_counter() - t0
+    p_divides_v = [c for c in sweep.cells if c.rec.v % c.prime == 0 and not c.identically_zero]
+    wrong_at_p_divides_v = sum(c.disagrees for c in p_divides_v)
+    wrong_elsewhere = len(sweep.disagreements) - wrong_at_p_divides_v
+    ok = (
+        len(sweep.cells) == 120 * 11 * 12 * 13
+        and wrong_elsewhere == 0
+        and wrong_at_p_divides_v > 0
+    )
+    with capsys.disabled():
+        report_line(
+            14, "general criterion vs oracle, 120 random recurrences", ok,
+            f"{len(sweep.cells)} cells, {wrong_elsewhere} disagreements where p does not "
+            f"divide v, {wrong_at_p_divides_v} of {len(p_divides_v)} non-vacuous cells "
+            f"wrong where p | v, {elapsed:.1f}s",
         )

@@ -51,6 +51,7 @@ from lucaslp.lp import (
     theorem2_condition,
     theorem3_condition,
     _FAMILIES,
+    _clauses,
 )
 from lucaslp.sequences import (
     FIBONACCI,
@@ -447,6 +448,16 @@ def test_identically_zero_holds_vacuously():
     assert not sequence_is_zero_mod(fib_affine(5, 1), 5, 3)
 
 
+def test_zero_check_refuses_a_digit_bound_below_1():
+    # a bound of 0 would read n = 0 alone and call F(n) identically zero mod 3
+    specs = (fib_affine(1, 0), PowerSequence(2), TableSequence((0, 1, 2)), AperySequence())
+    for spec in specs:
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match=f"digit_bound must be >= 1, got {bound}"):
+                sequence_is_zero_mod(spec, 3, bound)
+        assert sequence_is_zero_mod(spec, 3, 1) is False
+
+
 def test_zero_checks_at_a_large_prime_are_fast():
     # a full-length read would ask for p**2 = 1e12 terms, and lemma1_check
     # for p**3; an order-2 spec needs two
@@ -611,11 +622,9 @@ def test_theorem3_condition_examples():
 def test_theorem3_residues_match_exact_reference(p, a, b, data):
     # the exact big-int shift coefficient and the iterated term, reduced mod p
     rec = LinearRecurrence(*data)
-    fam = _FAMILIES["general"]
     vanishing = rec.v * s_poly(a - 1, rec.u, rec.v) * rec.seed_discriminant() % p
     term_b = rec_term(rec, b) % p
-    assert fam.vanishing(rec, a, p) == vanishing
-    assert fam.seed(rec, b, p, None) == term_b
+    assert _clauses(_FAMILIES["general"], rec, AffineIndexMap(a, b), p) == (vanishing, term_b)
     assert theorem3_condition(rec, AffineIndexMap(a, b), p) == (vanishing == 0 and term_b == 1)
 
 
@@ -629,7 +638,28 @@ def test_theorem3_residues_at_huge_strides():
             k = a - 1
             s = terms[k if k < pre else pre + (k - pre) % per]
             expected = rec.v * s * rec.seed_discriminant() % p
-            assert _FAMILIES["general"].vanishing(rec, a, p) == expected, (p, a)
+            vanishing, _ = _clauses(_FAMILIES["general"], rec, AffineIndexMap(a, 0), p)
+            assert vanishing == expected, (p, a)
+
+
+def test_theorem1_and_2_clauses_match_additive_tables():
+    # families 1 and 2 have no residue code of their own: their clauses are
+    # theorem 3's rule on fixed data, checked here against F and L by addition
+    fib_table, lucas_table = [0, 1], [2, 1]
+    while len(fib_table) <= 60:
+        fib_table.append(fib_table[-1] + fib_table[-2])
+        lucas_table.append(lucas_table[-1] + lucas_table[-2])
+    fib_family, lucas_family = _FAMILIES["fib"], _FAMILIES["lucas"]
+    for p in primes_upto(47):
+        for a, b in product(range(1, 61), range(61)):
+            imap = AffineIndexMap(a, b)
+            f_a, f_b, l_b = fib_table[a] % p, fib_table[b] % p, lucas_table[b] % p
+            assert _clauses(fib_family, FIBONACCI, imap, p) == (f_a, f_b)
+            five_f_a = 5 * f_a % p
+            assert _clauses(lucas_family, LUCAS_NUMBERS, imap, p, AS_PROVED) == (five_f_a, l_b)
+            assert _clauses(lucas_family, LUCAS_NUMBERS, imap, p, AS_STATED) == (five_f_a, f_b)
+            assert theorem1_condition(imap, p) == (f_a == 0 and f_b == 1)
+            assert theorem2_condition(imap, p) == (five_f_a == 0 and l_b == 1)
 
 
 def test_theorem_conditions_match_on_shared_family():
