@@ -40,6 +40,7 @@ from .lp import (
     THEOREM3_DEFAULT_RECS,
     _FAMILIES,
     _clauses,
+    _holds,
     corollary1_counterexample,
     enumerate_valid_b,
     lp_bruteforce,
@@ -338,9 +339,9 @@ def _cmd_theorem(args):
         row["reading"] = reading
     if fam.rec is None:
         row["rec"] = rec.as_string()
-    vanishing, seed = _clauses(fam, rec, index_map, args.prime, reading)
-    row.update(zip(fam.clauses, (vanishing, seed)))
-    row["condition"] = condition = vanishing == 0 and seed == 1
+    clauses = _clauses(fam, rec, index_map, args.prime, reading)
+    row.update(zip(fam.clauses, clauses))
+    row["condition"] = condition = _holds(*clauses)
     return Report("theorem", inputs, [row]), (0 if condition else 1)
 
 
@@ -504,7 +505,7 @@ def _cmd_crossval(args):
     cells = sweep.cells
     # the fields of every GridCell as columns, and its disagrees property
     prime, a, b, predicted, holds, zero, rec, witness = zip(*cells) if cells else ((),) * 8
-    disagrees = [p != h and not z for p, h, z in zip(predicted, holds, zero)]
+    disagrees = [c.disagrees for c in cells]
     keys = ("prime", "a", "b", "predicted", "oracle_holds", "identically_zero", "disagrees")
     columns = (prime, a, b, predicted, holds, zero, disagrees)
     if with_rec:
@@ -527,8 +528,7 @@ def _cmd_crossval(args):
         "disagreements": disagreements,
     }
     rows = _Table(keys, columns) if cells else []
-    code = 1 if disagreements else 0
-    return Report("crossval", inputs, rows, agreement), code
+    return Report("crossval", inputs, rows, agreement), (1 if disagreements else 0)
 
 
 def _cmd_counterexample(args):

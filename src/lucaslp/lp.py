@@ -22,8 +22,8 @@ of 211**3 terms. Table, Apery and omega specs are read as one stream.
 Every affine subsequence S(n) = A(a*n + b) of a second-order recurrence is
 one `AffineSequence`; a family table maps "fib", "lucas" and "general" to
 their recurrence and their criterion, theorem 3's rule on fixed data: a
-vanishing residue c*s(a-1) that must be 0 and a seed residue A(b) that must
-be 1 mod p (`_clauses`). A single in-process sweep drives the crossval
+vanishing residue c*s(a-1) and a seed residue A(b) mod p (`_clauses`) that
+one rule, `_holds`, decides. A single in-process sweep drives the crossval
 entry points and the valid-offset enumeration. S satisfies
 x^2 - tr(M^a)*x + det(M^a) mod p from n = 0 on, so the key
 (p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue of S. The sweep
@@ -502,8 +502,8 @@ def _check_reading(reading: str) -> str:
 
 
 def _clauses(fam, rec: LinearRecurrence, index_map: AffineIndexMap, p, reading=None):
-    """(vanishing, seed) residues mod p of an affine criterion, which holds
-    iff they are 0 and 1.
+    """(vanishing, seed) residues mod p of an affine criterion, which
+    `_holds` decides.
 
     Every criterion is theorem 3's: the vanishing residue is c * s(a-1) with
     c = v * (v A0^2 + u A0 A1 - A1^2), and s(a-1) is the bottom-left entry of
@@ -518,13 +518,13 @@ def _clauses(fam, rec: LinearRecurrence, index_map: AffineIndexMap, p, reading=N
     return c * stride[2] % p, rec_term(FIBONACCI if reading == AS_STATED else rec, index_map.b, p)
 
 
-def _holds(family: str, rec, index_map: AffineIndexMap, p, reading=None) -> bool:
-    return _clauses(_FAMILIES[family], rec, index_map, p, reading) == (0, 1)
+def _holds(vanishing: int, seed: int) -> bool:
+    return vanishing == 0 and seed == 1
 
 
 def theorem1_condition(index_map: AffineIndexMap, p) -> bool:
     """F(a) = 0 and F(b) = 1 mod p: the criterion for S(n) = F(a*n + b)."""
-    return _holds("fib", FIBONACCI, index_map, p)
+    return _holds(*_clauses(_FAMILIES["fib"], FIBONACCI, index_map, p))
 
 
 def theorem2_condition(index_map: AffineIndexMap, p, reading: str = AS_PROVED) -> bool:
@@ -535,7 +535,8 @@ def theorem2_condition(index_map: AffineIndexMap, p, reading: str = AS_PROVED) -
     is refutable by brute force (see the cross-validation sweeps), so
     as-proved is the default.
     """
-    return _holds("lucas", LUCAS_NUMBERS, index_map, p, _check_reading(reading))
+    return _holds(*_clauses(_FAMILIES["lucas"], LUCAS_NUMBERS, index_map, p,
+                            _check_reading(reading)))
 
 
 def theorem3_condition(rec: LinearRecurrence, index_map: AffineIndexMap, p) -> bool:
@@ -543,7 +544,7 @@ def theorem3_condition(rec: LinearRecurrence, index_map: AffineIndexMap, p) -> b
 
     v * s(a-1) * (v A0^2 + u A0 A1 - A1^2) = 0 mod p  and  A(b) = 1 mod p.
     """
-    return _holds("general", rec, index_map, p)
+    return _holds(*_clauses(_FAMILIES["general"], rec, index_map, p))
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +724,8 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
     reads: cells with equal keys share one `_certificate` scan of the state
     (M^a, A(b), A(b+1)), whatever their recurrence, and S vanishes
     identically exactly when S(0) = S(1) = 0, S(1) = A(a + b) being the
-    bottom row of M^a applied to (A(b+1), A(b)). The criterion's clauses
-    (`_clauses`) come from the same state: s(a-1) is the bottom-left entry
+    bottom row of M^a applied to (A(b+1), A(b)). `_holds` decides the
+    clauses (`_clauses`) from the same state: s(a-1) is the bottom-left entry
     of M^a and the seed is S(0), or F(b) under theorem 2's as-stated reading.
     """
     fam = _FAMILIES[family]
@@ -751,14 +752,14 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
             for a in a_values:
                 stride = m0, m1, m2, m3 = _mat_pow_mod((rec.u, rec.v, 1, 0), a, pi)
                 trace, det = (m0 + m3) % pi, (m0 * m3 - m1 * m2) % pi
-                vanishes = c * m2 % pi == 0
+                vanishing = c * m2 % pi
                 for b, (s0, y), seed in zip(b_values, starts, seeds):
                     s1 = (m2 * y + m3 * s0) % pi
                     key = (pi, s0, s1, trace, det)
                     if key not in scans:
                         scans[key] = _certificate(pi, stride, s0, y, 2, rows)
                     witness = scans[key]
-                    cells.append((pi, a, b, vanishes and seed == 1, witness is None,
+                    cells.append((pi, a, b, _holds(vanishing, seed), witness is None,
                                   s0 == s1 == 0, cell_rec, witness))
     # tuple.__new__ builds each GridCell in C, without its Python __new__
     cells = tuple(map(partial(tuple.__new__, GridCell), cells))

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,6 +18,20 @@ from hypothesis import strategies as st
 import lucaslp.sequences
 from lucaslp import cli
 from lucaslp.cli import CsvUnrepresentableError, Report, format_report, run_cli
+from lucaslp.lp import (
+    AS_PROVED,
+    AS_STATED,
+    THEOREM3_DEFAULT_RECS,
+    AffineIndexMap,
+    crossval_theorem1,
+    crossval_theorem2,
+    crossval_theorem3,
+    theorem1_condition,
+    theorem2_condition,
+    theorem3_condition,
+)
+from lucaslp.modmath import is_prime
+from lucaslp.sequences import LinearRecurrence
 from lucaslp.special import apery
 
 
@@ -156,6 +171,59 @@ def test_theorem_3_huge_strides_are_fast(capsys):
         assert time.perf_counter() - start < 0.5
         assert code == 1
         assert report["verdicts"][0]["term_b_mod_p"] == 2
+
+
+def test_theorem_command_matches_library_and_sweep(capsys):
+    """On seeded cells of every criterion, `theorem`'s condition and exit
+    code equal theorem{1,2,3}_condition and the crossval cell's predicted."""
+    extra = [LinearRecurrence.from_string(t) for t in ("1,-6,-5,0", "5,0,2,0", "1,1,0,0")]
+    configs = [(1, None, None), (2, AS_PROVED, None), (2, AS_STATED, None)]
+    configs += [(3, None, rec) for rec in (*THEOREM3_DEFAULT_RECS, *extra)]  # p | v in extra
+
+    def condition(theorem, reading, rec, p, a, b):
+        if theorem == 1:
+            return theorem1_condition(AffineIndexMap(a, b), p)
+        if theorem == 2:
+            return theorem2_condition(AffineIndexMap(a, b), p, reading)
+        return theorem3_condition(rec, AffineIndexMap(a, b), p)
+
+    def sweep(theorem, reading, rec, p, a_values, b_values):
+        if theorem == 1:
+            return crossval_theorem1([p], a_values, b_values).cells
+        if theorem == 2:
+            return crossval_theorem2([p], a_values, b_values, reading).cells
+        return crossval_theorem3([rec], [p], a_values, b_values).cells
+
+    rng = random.Random(24)
+    primes = [p for p in range(2, 32) if is_prime(p)]
+    cells = []
+    for config in configs:
+        for p in rng.sample(primes, 4):
+            # up to three holding and three failing cells of a <= 40, b <= 40,
+            # as few cells of a random grid hold
+            grid = sweep(*config, p, range(1, 41), range(41))
+            for want in (True, False):
+                picked = [c for c in grid if c.predicted is want]
+                cells += [(config, p, c.a, c.b) for c in rng.sample(picked, min(3, len(picked)))]
+    # the stride-10^30 golden points
+    big = (1000000000039, 10**30 + 7, 10**30)
+    cells += [((1, None, None), *big), ((2, AS_PROVED, None), *big),
+              ((2, AS_STATED, None), *big),
+              ((3, None, LinearRecurrence.from_string("1,2,3,5")), *big)]
+    seen = set()
+    for config, p, a, b in cells:
+        theorem, reading, rec = config
+        argv = ["theorem", "--which", str(theorem), "--a", str(a), "--b", str(b),
+                "--prime", str(p)]
+        argv += ["--reading", reading] if reading else []
+        argv += ["--rec", rec.as_string()] if rec else []
+        code, report = run_json(capsys, *argv)
+        verdict = report["verdicts"][0]["condition"]
+        (cell,) = sweep(*config, p, [a], [b])
+        assert verdict is condition(*config, p, a, b) is cell.predicted, argv
+        assert code == (0 if verdict else 1), argv
+        seen.add((theorem, verdict))
+    assert seen == {(t, v) for t in (1, 2, 3) for v in (True, False)}
 
 
 def test_prime_beyond_proven_bound_exits_2(capsys):
