@@ -26,9 +26,9 @@ vanishing residue c*s(a-1) and a seed residue A(b) mod p (`_clauses`) that
 one rule, `_holds`, decides. A single in-process sweep drives the crossval
 entry points and the valid-offset enumeration. S satisfies
 x^2 - tr(M^a)*x + det(M^a) mod p from n = 0 on, so the key
-(p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue of S. The sweep
-runs the oracle's certificate once per key, on the M^a, A(b) and A(b+1) it
-holds, and reads both clauses there: s(a-1) is the bottom-left entry of M^a.
+(p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue of S. Each stride
+M^a makes one certificate call for the starts A(b), A(b+1) of its new keys,
+and the sweep reads both clauses there: s(a-1) is the bottom-left entry of M^a.
 
 A sequence that vanishes identically mod p satisfies the congruence
 vacuously; by the same recurrence it does so exactly when S(0) = S(1) = 0.
@@ -38,8 +38,9 @@ them out of both the disagreement count and the valid-b sets.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from itertools import islice
+from math import prod
 from typing import Callable, NamedTuple
 
 from .modmath import Prime, digits_base_p, is_prime
@@ -116,11 +117,6 @@ class AffineIndexMap(NamedTuple("AffineIndexMap", [("a", int), ("b", int)])):
         return tuple.__new__(cls, (a, b))
 
 
-# matrix powers mod p, memoized: a sweep asks for the same stride M**a and
-# the same row jumps (M**a)**(p*m) for every offset b
-_mat_pow_mod = lru_cache(maxsize=4096)(_mat_pow)
-
-
 # ---------------------------------------------------------------------------
 # sequence specifications the oracle can sample
 
@@ -190,7 +186,7 @@ class AffineSequence(
         """(M**a, A(b), A(b+1)) mod p: the state (A(a*n+b+1), A(a*n+b)) times
         M**a is the state at n + 1, M the companion matrix of A."""
         rec, (a, b) = self.rec, self.index_map
-        stride = _mat_pow_mod((rec.u, rec.v, 1, 0), a, p)
+        stride = _mat_pow((rec.u, rec.v, 1, 0), a, p)
         return stride, rec_term(rec, b, p), rec_term(rec, b + 1, p)
 
     def describe(self):
@@ -353,8 +349,8 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     included. A power base**n satisfies x - base, of order k = 1, and
     D_j(1) = 0 suffices. For a fixed m, D_j(m) is one linear form in the
     state at j, and the states at j < k span all the others, so the scan
-    reads rows m = 1..k and states j < k (`_certificate`, which the sweeps
-    also run): k*k residues at most, at any p, with the full scan's verdict
+    reads rows m = 1..k and states j < k (`_certificate`, a stride's starts
+    at once): k*k residues per start at any p, with the full scan's verdict
     and counterexample; with p**(digit_bound - 1) > k a pass holds for all n.
 
     Table, Apery and omega specs have no order and are read as one stream
@@ -366,7 +362,8 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     pi = int(p)
     rows = _rows(pi, digit_bound)
     if spec._order:
-        witness = _certificate(pi, *spec._stride_state(pi), spec._order, rows)
+        stride, *start = spec._stride_state(pi)
+        (witness,) = _certificate(p, stride, [start], spec._order, rows)
         return LPVerdict(witness is None, p, digit_bound, witness)
     it = spec.iter_residues(p, rows * pi)
     head = list(islice(it, pi))
@@ -392,38 +389,36 @@ def _rows(p: int, digit_bound: int) -> int:
     return p ** (digit_bound - 1)
 
 
-def _certificate(p: int, stride, x0: int, y0: int, order: int, rows: int):
-    """The oracle's certificate for S of recurrence order k = `order`: the
-    first violation among rows 1 <= m < min(rows, k + 1) and states
-    j < min(p, k), as a Counterexample, or None.
+def _certificate(p: Prime, stride, starts, order: int, rows: int) -> list:
+    """The oracle's certificate for S of recurrence order k = `order`, per
+    start (x0, y0): the first violation among rows 1 <= m < min(rows, k + 1)
+    and states j < min(p, k), as a Counterexample, or None.
 
     S(n) = x_n for the state (y_n, x_n) = stride**n (y0, x0), stride = M**a
     mod p. The state at p*m + j is stride**(p*m) times the one at j, so
     D_j(m) = c*y + e*x with (c, d) the bottom row of that power and
-    e = d - S(m): one matrix power per row. The states satisfy the order-k
-    recurrence S does, so those at j < k span all the others (Cayley-
-    Hamilton), and a form that vanishes on them vanishes for every j < p.
-    Rows go in increasing m and states in increasing j, so the first
-    violation found is the smallest n, and its n mod p is below k.
+    e = d - S(m): one matrix power per row, shared by the starts. The states
+    satisfy the order-k recurrence S does, so those at j < k span all the
+    others (Cayley-Hamilton), and a form that vanishes on them vanishes for
+    every j < p. Rows go in increasing m and states in increasing j, so the
+    first violation found is the smallest n, and its n mod p is below k.
     """
     m0, m1, m2, m3 = stride
     rows = min(rows, order + 1)  # the digits of each m < rows are below rows
-    first = list(_stride_terms((stride, x0, y0), p, rows))
-    for m in range(1, rows):
-        digits, digit_product, k = [], 1, m
-        while k:
-            k, digit = divmod(k, p)
-            digits.append(digit)
-            digit_product = digit_product * first[digit] % p
-        _, _, c, d = _mat_pow_mod(stride, p * m, p)
-        e = d - digit_product  # D_j(m) = c*y + e*x
-        x, y = x0, y0
-        for j in range(min(p, order)):
-            if (c * y + e * x) % p:
-                lhs, rhs = (c * y + d * x) % p, digit_product * x % p
-                return Counterexample(p * m + j, lhs, (j, *digits), rhs)
-            x, y = (m2 * y + m3 * x) % p, (m0 * y + m1 * x) % p
-    return None
+    jumps = [(digits_base_p(m, p).digits, _mat_pow(stride, p * m, p)[2:]) for m in range(1, rows)]
+    def first_violation(x0, y0):
+        first = list(_stride_terms((stride, x0, y0), p, rows))
+        for m, (digits, (c, d)) in enumerate(jumps, 1):
+            digit_product = prod(first[digit] for digit in digits) % p
+            e = d - digit_product  # D_j(m) = c*y + e*x
+            x, y = x0, y0
+            for j in range(min(p, order)):
+                if (c * y + e * x) % p:
+                    lhs, rhs = (c * y + d * x) % p, digit_product * x % p
+                    return Counterexample(p * m + j, lhs, (j, *digits), rhs)
+                x, y = (m2 * y + m3 * x) % p, (m0 * y + m1 * x) % p
+        return None
+    return [first_violation(x0, y0) for x0, y0 in starts]
 
 
 def sequence_is_zero_mod(spec: SequenceSpec, p, digit_bound: int = 3) -> bool:
@@ -513,7 +508,7 @@ def _clauses(fam, rec: LinearRecurrence, index_map: AffineIndexMap, p, reading=N
     reads both from the M**a and A(b) it holds.
     """
     p = int(Prime(p))
-    stride = _mat_pow_mod((rec.u, rec.v, 1, 0), index_map.a, p)
+    stride = _mat_pow((rec.u, rec.v, 1, 0), index_map.a, p)
     c = fam.sign * rec.v * rec.seed_discriminant()
     return c * stride[2] % p, rec_term(FIBONACCI if reading == AS_STATED else rec, index_map.b, p)
 
@@ -599,6 +594,9 @@ class BEnumeration(NamedTuple):
         return self.valid_b == self.predicted_b
 
 
+_OFFSET_BUDGET = 1 << 18  # offsets swept at most; 200,008 at p = 100003 peak at 170 MB
+
+
 def enumerate_valid_b(
     family: str,
     a: int,
@@ -613,7 +611,8 @@ def enumerate_valid_b(
     offsets repeat with the period, reported as `modulus`. Identically-zero
     offsets (vacuous passes) are listed separately and excluded from
     valid_b. predicted_b holds the offsets the closed-form criterion
-    accepts, for side-by-side comparison.
+    accepts, for side-by-side comparison. More than _OFFSET_BUDGET offsets
+    raise ScanExhaustedError before any is swept.
     """
     p = Prime(p)
     if family not in _FAMILIES:
@@ -621,7 +620,7 @@ def enumerate_valid_b(
     base_rec = _FAMILIES[family].rec or rec
     if base_rec is None:
         raise ValueError("family 'general' needs an explicit recurrence")
-    info = period_mod(base_rec, p)
+    info = period_mod(base_rec, p, _OFFSET_BUDGET)
     offsets = range(info.preperiod + info.period)
     cells = _sweep(family, (base_rec,), (p,), (a,), offsets, digit_bound, AS_PROVED).cells
     return BEnumeration(
@@ -715,18 +714,29 @@ THEOREM3_DEFAULT_RECS = (
 )
 
 
+def _offset_states(rec: LinearRecurrence, b_values, p: Prime):
+    """(A(b), A(b+1)) mod p for each b: one step from the previous offset's
+    state when b follows it, two `rec_term` calls at a gap."""
+    x = y = last = None
+    for b in b_values:
+        x, y = ((y, (rec.u * y + rec.v * x) % p) if b - 1 == last
+                else (rec_term(rec, b, p), rec_term(rec, b + 1, p)))
+        last = b
+        yield x, y
+
+
 def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
     """Criterion and oracle over every (rec, prime, a, b), in that nesting order.
 
     S(n) = A(a*n + b) satisfies x^2 - tr(M^a)*x + det(M^a) mod p from n = 0
     on, M the companion matrix of A (see `lp_bruteforce`), so the key
     (p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue the oracle
-    reads: cells with equal keys share one `_certificate` scan of the state
-    (M^a, A(b), A(b+1)), whatever their recurrence, and S vanishes
-    identically exactly when S(0) = S(1) = 0, S(1) = A(a + b) being the
-    bottom row of M^a applied to (A(b+1), A(b)). `_holds` decides the
-    clauses (`_clauses`) from the same state: s(a-1) is the bottom-left entry
-    of M^a and the seed is S(0), or F(b) under theorem 2's as-stated reading.
+    reads: cells with equal keys share one certificate, whatever their
+    recurrence, and each stride M^a makes one `_certificate` call for the
+    starts (A(b), A(b+1)) of its new keys. S is identically zero exactly
+    when S(0) = S(1) = 0, S(1) = A(a + b) being the bottom row of M^a times
+    (A(b+1), A(b)). `_holds` decides the clauses from that state: s(a-1) is
+    M^a's bottom-left entry, the seed S(0), or F(b) as theorem 2 is stated.
     """
     fam = _FAMILIES[family]
     recs, primes = tuple(recs), [Prime(p) for p in primes]
@@ -746,21 +756,21 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
         for p in primes:
             pi = int(p)
             rows = _rows(pi, digit_bound)  # refuses digit_bound < 2
-            starts = [(rec_term(rec, b, p), rec_term(rec, b + 1, p)) for b in b_values]
-            seeds = [rec_term(FIBONACCI, b, p) if reading == AS_STATED else s0
-                     for b, (s0, _) in zip(b_values, starts)]
+            starts = list(_offset_states(rec, b_values, p))
+            seeds = ([x for x, _ in _offset_states(FIBONACCI, b_values, p)]
+                     if reading == AS_STATED else [s0 for s0, _ in starts])
             for a in a_values:
-                stride = m0, m1, m2, m3 = _mat_pow_mod((rec.u, rec.v, 1, 0), a, pi)
+                stride = m0, m1, m2, m3 = _mat_pow((rec.u, rec.v, 1, 0), a, pi)
                 trace, det = (m0 + m3) % pi, (m0 * m3 - m1 * m2) % pi
                 vanishing = c * m2 % pi
-                for b, (s0, y), seed in zip(b_values, starts, seeds):
-                    s1 = (m2 * y + m3 * s0) % pi
-                    key = (pi, s0, s1, trace, det)
-                    if key not in scans:
-                        scans[key] = _certificate(pi, stride, s0, y, 2, rows)
+                keys = [(pi, s0, (m2 * y + m3 * s0) % pi, trace, det) for s0, y in starts]
+                if new := {key: start for key, start in zip(keys, starts) if key not in scans}:
+                    scans.update(zip(new, _certificate(p, stride, new.values(), 2, rows)))
+                del new  # one entry per offset at most: free it before the cells grow
+                for b, key, seed in zip(b_values, keys, seeds):
                     witness = scans[key]
                     cells.append((pi, a, b, _holds(vanishing, seed), witness is None,
-                                  s0 == s1 == 0, cell_rec, witness))
+                                  key[1] == key[2] == 0, cell_rec, witness))
     # tuple.__new__ builds each GridCell in C, without its Python __new__
     cells = tuple(map(partial(tuple.__new__, GridCell), cells))
     return AgreementReport(fam.theorem, reading, digit_bound, cells)

@@ -144,7 +144,7 @@ def _stride_terms(state, p: int, length: int):
         x, y = (m2 * y + m3 * x) % p, (m0 * y + m1 * x) % p
 
 
-# the largest working set measured is about 1400 terms (a theorem-3 grid)
+# the CLI goldens hold at most 105 terms (identity --which general): sweeps step their offsets
 @lru_cache(maxsize=4096)
 def _rec_term(rec: LinearRecurrence, n: int, modulus) -> int:
     if n < 0:
@@ -320,7 +320,7 @@ def period_mod(rec: LinearRecurrence, p, scan_limit: int | None = None) -> Perio
     preperiod = next(i for i, state in enumerate(states) if returns(period, state))
     if scan_limit is not None and preperiod + period > scan_limit:
         raise ScanExhaustedError(
-            f"state pair of {rec.as_string()} mod {p} did not repeat within {scan_limit} steps"
+            f"{rec.as_string()} mod {p}: preperiod + period {preperiod + period} > limit {scan_limit}"
         )
     return PeriodInfo(preperiod, period)
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: fourteen criteria, one printed pass/fail line each.
+"""Acceptance gate: fifteen criteria, one printed pass/fail line each.
 
 Each criterion pins a verification result at desk scale: exhaustive grids,
 exact identity sweeps, and golden values frozen from independent naive
@@ -47,6 +47,8 @@ from lucaslp.sequences import (
     period_mod,
     s_poly,
     t_poly,
+    _least_order,
+    _mat_pow,
 )
 from lucaslp.special import omega, omega_mod
 
@@ -349,19 +351,23 @@ def test_criterion_12_failing_prime_search(capsys):
         )
 
 
+def large_primes(seed, count=40):
+    rng = random.Random(seed)
+    primes = []
+    while len(primes) < count:
+        q = rng.randrange(10**6, 10**15)
+        if is_prime(q):
+            primes.append(q)
+    return primes
+
+
 def test_criterion_13_fib_and_lucas_criteria_at_large_primes(capsys):
     # plain ranges a <= a_max never reach F(a) = 0 at a large prime, so the
     # grid sits at multiples of the rank of apparition alpha and the offsets
     # near 0, the period and alpha
     t0 = time.perf_counter()
-    rng = random.Random(21)
-    primes = []
-    while len(primes) < 40:
-        q = rng.randrange(10**6, 10**15)
-        if is_prime(q):
-            primes.append(q)
     cells = passes = proved_bad = stated_bad = skipped = 0
-    for p in primes:
+    for p in large_primes(21):
         try:
             k, per = alpha(p), period_mod(FIBONACCI, p).period
         except ScanExhaustedError:
@@ -410,4 +416,34 @@ def test_criterion_14_general_criterion_on_random_recurrences(capsys):
             f"{len(sweep.cells)} cells, {wrong_elsewhere} disagreements where p does not "
             f"divide v, {wrong_at_p_divides_v} of {len(p_divides_v)} non-vacuous cells "
             f"wrong where p | v, {elapsed:.1f}s",
+        )
+
+
+def test_criterion_15_general_criterion_at_large_primes(capsys):
+    # criterion 13's grid for each default recurrence, around its rank r: the
+    # least d dividing p(p^2 - 1) with M^d scalar mod p, that is s(d-1) = 0,
+    # which exists as no default v has a prime factor this large
+    t0 = time.perf_counter()
+    cells = passes = bad = skipped = 0
+    for p in large_primes(25):
+        try:
+            grids = [(rec, _least_order(p, lambda d: _mat_pow((rec.u, rec.v, 1, 0), d, p)[2] == 0),
+                      period_mod(rec, p).period) for rec in THEOREM3_DEFAULT_RECS]
+        except ScanExhaustedError:
+            skipped += 1
+            continue
+        for rec, r, per in grids:
+            a_values = sorted({t * r + d for t in (1, 2, 3) for d in (-1, 0, 1)})  # r >= 2
+            b_values = sorted({*range(4), *range(per - 1, per + 3), *range(r - 1, r + 3)})
+            report = crossval_theorem3((rec,), (p,), a_values, b_values)
+            cells += len(report.cells)
+            passes += sum(c.oracle_holds and not c.identically_zero for c in report.cells)
+            bad += len(report.disagreements)
+    elapsed = time.perf_counter() - t0
+    ok = bad == 0 and passes > 0 and skipped < 40
+    with capsys.disabled():
+        report_line(
+            15, "general criterion vs oracle, 40 primes in [1e6, 1e15]", ok,
+            f"{cells} cells, {passes} non-vacuous passes, {bad} disagreements, "
+            f"{skipped} primes skipped, {elapsed:.2f}s",
         )

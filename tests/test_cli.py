@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lucaslp.lp
 import lucaslp.sequences
 from lucaslp import cli
 from lucaslp.cli import CsvUnrepresentableError, Report, format_report, run_cli
@@ -272,6 +273,14 @@ def test_enumerate_b_general(capsys):
     assert code == 0
     code, out, err = run(capsys, "enumerate-b", "--family", "general", "--a", "1", "--prime", "3")
     assert code == 2
+
+
+def test_enumerate_b_exits_2_past_its_offset_budget(capsys, monkeypatch):
+    # F mod 7 has 16 offsets; the budget is checked before any offset is swept
+    monkeypatch.setattr(lucaslp.lp, "_OFFSET_BUDGET", 10)
+    assert run(capsys, "enumerate-b", "--a", "1", "--prime", "7") == (
+        2, "", "error: 0,1,1,1 mod 7: preperiod + period 16 > limit 10\n"
+    )
 
 
 def test_enumerate_b_plain_has_prediction_column(capsys):

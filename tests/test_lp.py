@@ -58,6 +58,7 @@ from lucaslp.sequences import (
     LUCAS_NUMBERS,
     PELL,
     LinearRecurrence,
+    ScanExhaustedError,
     fib_mod,
     lucas_mod,
     period_mod,
@@ -716,6 +717,22 @@ def test_enumerate_valid_b_general():
         enumerate_valid_b("fib", 0, 5)
 
 
+def test_enumerate_valid_b_refuses_offsets_past_its_budget(monkeypatch):
+    # F mod 7 has preperiod 0 and period 16: 16 offsets fit a budget of 16
+    monkeypatch.setattr(lp_module, "_OFFSET_BUDGET", 16)
+    assert enumerate_valid_b("fib", 1, 7).modulus == 16
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no offset may be swept past the budget")
+
+    monkeypatch.setattr(lp_module, "_sweep", refuse)
+    for budget in (15, 10):
+        monkeypatch.setattr(lp_module, "_OFFSET_BUDGET", budget)
+        message = f"0,1,1,1 mod 7: preperiod \\+ period 16 > limit {budget}"
+        with pytest.raises(ScanExhaustedError, match=message):
+            enumerate_valid_b("fib", 1, 7)
+
+
 def test_enumerate_valid_b_oracle_agreement():
     # every offset's verdicts re-derive from its own full-length scans; the
     # strides run past the period, and the general recurrences put some b
@@ -923,12 +940,14 @@ def sweep_key(rec, p, a, b):
 def test_sweep_scans_once_per_distinct_key(monkeypatch):
     # 0,8,8,1 equals Fibonacci mod 7, so the two share every key at p = 7
     recs = (FIBONACCI, LinearRecurrence(0, 8, 8, 1), *PREPERIOD_RECS)
-    calls = []
+    starts, strides = [], []
     certificate = lp_module._certificate
 
-    def counting(*args):
-        calls.append(args)
-        return certificate(*args)
+    def counting(p, stride, stride_starts, order, rows):
+        stride_starts = list(stride_starts)
+        starts.extend(stride_starts)
+        strides.append((p, stride))
+        return certificate(p, stride, stride_starts, order, rows)
 
     monkeypatch.setattr(lp_module, "_certificate", counting)
     # the sweep hands the certificate its own state: no spec and no verdict
@@ -937,20 +956,25 @@ def test_sweep_scans_once_per_distinct_key(monkeypatch):
     report = crossval_theorem3(recs, SWEEP_PRIMES, SWEEP_A, SWEEP_B)
     keys = {sweep_key(c.rec, c.prime, c.a, c.b) for c in report.cells}
     per_rec = {(c.rec, sweep_key(c.rec, c.prime, c.a, c.b)) for c in report.cells}
-    assert len(calls) == len(keys) < len(per_rec)
+    assert len(starts) == len(keys) < len(per_rec)
+    # one call per stride at most, and some stride hands it several starts
+    assert len(strides) <= len(recs) * len(SWEEP_PRIMES) * len(SWEEP_A) < len(starts)
     assert len(report.cells) == len(recs) * len(SWEEP_PRIMES) * len(SWEEP_A) * len(SWEEP_B)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.tuples(*[st.integers(-6, 6)] * 4), min_size=1, max_size=3),
-    st.sampled_from([2, 3, 5, 7]),
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
     st.lists(st.integers(1, 30), min_size=1, max_size=5),
     st.lists(st.integers(0, 30), min_size=1, max_size=5),
+    st.integers(0, 30),
 )
-def test_sweep_matches_per_cell_scans_on_random_recurrences(data, p, a_values, b_values):
-    # coefficients in [-6, 6] put p | v, zero seeds and repeated cells in reach
+def test_sweep_matches_per_cell_scans_on_random_recurrences(data, p, a_values, b_values, lo):
+    # coefficients in [-6, 6] put p | v, zero seeds and repeated cells in reach;
+    # the run lo..lo+5 hands one stride several starts, stepped from each other
     recs = [LinearRecurrence(*d) for d in data]
+    b_values = [*b_values, *range(lo, lo + 6)]
     report = crossval_theorem3(recs, (p,), a_values, b_values)
     expected = []
     for rec in recs:

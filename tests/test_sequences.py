@@ -395,12 +395,12 @@ def test_caches_are_bounded():
         for value in vars(module).values()
         if hasattr(value, "cache_info")
     ]
-    assert len(caches) >= 5
+    assert len(caches) >= 4
     assert all(cache.cache_info().maxsize is not None for cache in caches)
-    # distinct theorem-3 strides each add a rec_term entry
+    # distinct theorem-3 offsets each add a rec_term entry
     rec = LinearRecurrence(2, 1, 3, 2)
-    for a in range(1, 20001):
-        theorem3_condition(rec, AffineIndexMap(a, 1), 10007)
+    for b in range(20000):
+        theorem3_condition(rec, AffineIndexMap(1, b), 10007)
     info = sequences._rec_term.cache_info()
     assert info.currsize <= info.maxsize
 
