@@ -6,7 +6,7 @@ the residual is exactly 0, so sweeps assert zero rather than any tolerance.
 
 from __future__ import annotations
 
-from .sequences import LinearRecurrence, fib, lucas_num, rec_term, s_poly, t_poly
+from .sequences import FIBONACCI, LUCAS_NUMBERS, LinearRecurrence, rec_term, s_poly, t_poly
 
 __all__ = [
     "IndexOrderError",
@@ -22,19 +22,19 @@ class IndexOrderError(ValueError):
 
 
 def catalan_residual(n: int, r: int) -> int:
-    """F(n)^2 - F(n+r)F(n-r) - (-1)^(n-r) F(r)^2, needing n >= r >= 0."""
+    """F(n)^2 - F(n+r)F(n-r) - (-1)^(n-r) F(r)^2, needing n >= r >= 0: minus
+    the general residual on Fibonacci data, and 0 at r = 0."""
     if r < 0 or r > n:
         raise IndexOrderError(f"need n >= r >= 0, got n={n}, r={r}")
-    sign = -1 if (n - r) % 2 else 1
-    return fib(n) ** 2 - fib(n + r) * fib(n - r) - sign * fib(r) ** 2
+    return -general_catalan_residual(FIBONACCI, n, r) if r else 0
 
 
 def lucas_catalan_residual(n: int, r: int) -> int:
-    """L(n+r)L(n-r) - L(n)^2 - (-1)^(n-r) 5 F(r)^2, needing n >= r >= 0."""
+    """L(n+r)L(n-r) - L(n)^2 - (-1)^(n-r) 5 F(r)^2, needing n >= r >= 0: the
+    general residual on Lucas data, and 0 at r = 0."""
     if r < 0 or r > n:
         raise IndexOrderError(f"need n >= r >= 0, got n={n}, r={r}")
-    sign = -1 if (n - r) % 2 else 1
-    return lucas_num(n + r) * lucas_num(n - r) - lucas_num(n) ** 2 - sign * 5 * fib(r) ** 2
+    return general_catalan_residual(LUCAS_NUMBERS, n, r) if r else 0
 
 
 def general_catalan_residual(rec: LinearRecurrence, n: int, r: int) -> int:

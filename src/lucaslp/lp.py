@@ -154,7 +154,7 @@ class SequenceSpec:
     def iter_residues(self, p, count: int):
         """Yield S(0) mod p, ..., S(count-1) mod p: a spec with an order
         steps its _stride_state(p) in O(1) state, the others override this."""
-        p = int(Prime(p))
+        p = Prime(p)
         return _stride_terms(self._stride_state(p), p, count)
 
     def residues(self, p, count: int) -> list[int]:
@@ -182,7 +182,7 @@ class AffineSequence(
     __slots__ = ()
     _order = 2
 
-    def _stride_state(self, p: int):
+    def _stride_state(self, p: Prime):
         """(M**a, A(b), A(b+1)) mod p: the state (A(a*n+b+1), A(a*n+b)) times
         M**a is the state at n + 1, M the companion matrix of A."""
         rec, (a, b) = self.rec, self.index_map
@@ -204,7 +204,7 @@ class PowerSequence(SequenceSpec, NamedTuple("PowerSequence", [("base", int)])):
     variant = "power"
     _order = 1
 
-    def _stride_state(self, p: int):
+    def _stride_state(self, p: Prime):
         # base**n is A(n) for A(n+1) = base*A(n), A(0) = 1, whose companion
         # matrix is (base, 0, 1, 0)
         c = self.base % p
@@ -362,7 +362,7 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     pi = int(p)
     rows = _rows(pi, digit_bound)
     if spec._order:
-        stride, *start = spec._stride_state(pi)
+        stride, *start = spec._stride_state(p)
         (witness,) = _certificate(p, stride, [start], spec._order, rows)
         return LPVerdict(witness is None, p, digit_bound, witness)
     it = spec.iter_residues(p, rows * pi)
@@ -440,12 +440,13 @@ def sequence_is_zero_mod(spec: SequenceSpec, p, digit_bound: int = 3) -> bool:
 
 
 def lemma1_check(spec: SequenceSpec, p, scan: int | None = None):
-    """Necessary condition S(0) = 1 mod p; None when S is identically zero.
+    """Whether S(0) = 1 mod p; None when S is identically zero.
 
     Scans S on [0, scan) (default p**3), or on its first k terms for a spec
-    of recurrence order k, as k zeros force all zeros. An identically-zero
-    sequence satisfies the congruence vacuously without S(0) = 1, so it gets
-    the separate inapplicable answer None rather than True or False.
+    of recurrence order k, as k zeros force all zeros. S(0) = 1 is not
+    necessary: S vanishing from n = 1 on has the property whatever S(0) is.
+    An identically-zero S gets the inapplicable answer None, and one with
+    S(0) != 0 gets False (S = 3, 0, 0, ... at p = 7).
     """
     p = Prime(p)
     if scan is None:
@@ -507,7 +508,7 @@ def _clauses(fam, rec: LinearRecurrence, index_map: AffineIndexMap, p, reading=N
     residue is A(b), or F(b) under theorem 2's as-stated reading. `_sweep`
     reads both from the M**a and A(b) it holds.
     """
-    p = int(Prime(p))
+    p = Prime(p)
     stride = _mat_pow((rec.u, rec.v, 1, 0), index_map.a, p)
     c = fam.sign * rec.v * rec.seed_discriminant()
     return c * stride[2] % p, rec_term(FIBONACCI if reading == AS_STATED else rec, index_map.b, p)
@@ -656,9 +657,9 @@ def corollary1_counterexample(
     if family not in _FAMILIES or _FAMILIES[family].rec is None:
         raise ValueError(f"family must be 'fib' or 'lucas', got {family!r}")
     spec = AffineSequence(_FAMILIES[family].rec, index_map, _FAMILIES[family].variant)
-    for q in range(2, prime_bound + 1):
-        if not is_prime(q):
-            continue
+    # lazily: the first failing prime is small, and a list up to a large
+    # bound (primes_upto) costs seconds before the first scan
+    for q in filter(is_prime, range(2, prime_bound + 1)):
         verdict = lp_bruteforce(spec, q, digit_bound)
         if not verdict.holds:
             return Prime(q), verdict

@@ -144,35 +144,33 @@ def _stride_terms(state, p: int, length: int):
         x, y = (m2 * y + m3 * x) % p, (m0 * y + m1 * x) % p
 
 
-# the CLI goldens hold at most 105 terms (identity --which general): sweeps step their offsets
-@lru_cache(maxsize=4096)
-def _rec_term(rec: LinearRecurrence, n: int, modulus) -> int:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    p = None if modulus is None else int(Prime(modulus))
-    m = _mat_pow((rec.u, rec.v, 1, 0), n, p)
-    # M^n (A1, A0)^T = (A(n+1), A(n))^T, so A(n) is the bottom row applied
-    term = m[2] * rec.a1 + m[3] * rec.a0
-    return term if p is None else term % p
-
-
 # exact terms grow with n, so only those up to this index are memoized: with
 # coefficients up to 5, 4096 of them hold about 1.2 MB, where 4096
 # Fibonacci numbers near n = 10^6 would hold 350 MB
 _EXACT_MEMO_MAX_N = 512
 
 
+@lru_cache(maxsize=4096)
+def _rec_term(rec: LinearRecurrence, n: int, p: int | None = None) -> int:
+    m = _mat_pow((rec.u, rec.v, 1, 0), n, p)
+    # M^n (A1, A0)^T = (A(n+1), A(n))^T, so A(n) is the bottom row applied
+    term = m[2] * rec.a1 + m[3] * rec.a0
+    return term if p is None else term % p
+
+
 def rec_term(rec: LinearRecurrence, n: int, modulus=None) -> int:
     """A(n) for the recurrence, exact (modulus None) or reduced mod a prime.
 
     Both paths power the companion matrix [[u, v], [1, 0]], so a term costs
-    O(log n) multiplications. Residues and exact terms with small n are
-    memoized, which makes dense sweeps over overlapping indices effectively
-    table lookups.
+    O(log n) multiplications. Exact terms with small n are memoized, as the
+    identity sweeps read each of them many times; a residue is one matrix
+    power, with the modulus checked once per call.
     """
-    if modulus is None and n > _EXACT_MEMO_MAX_N:
-        return _rec_term.__wrapped__(rec, n, None)
-    return _rec_term(rec, n, modulus)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if modulus is None and n <= _EXACT_MEMO_MAX_N:
+        return _rec_term(rec, n)
+    return _rec_term.__wrapped__(rec, n, None if modulus is None else int(Prime(modulus)))
 
 
 @lru_cache(maxsize=1024)
@@ -186,21 +184,16 @@ def s_poly(k: int, u: int, v: int) -> int:
     )
 
 
-@lru_cache(maxsize=1024)
 def t_poly(k: int, u: int, v: int) -> int:
-    """Shift coefficient t(k) = sum over j of C(k-1-j, j) u^(k-1-2j) v^(j+1).
+    """Shift coefficient t(k) = sum over j of C(k-1-j, j) u^(k-1-2j) v^(j+1),
+    which is v*s(k-1) term by term.
 
     The empty sum gives t(0) = 0, the convention that makes the two-term
     shift identity hold at k = 0.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if k == 0:
-        return 0
-    return sum(
-        binomial_exact(k - 1 - j, j) * u ** (k - 1 - 2 * j) * v ** (j + 1)
-        for j in range((k - 1) // 2 + 1)
-    )
+    return v * s_poly(k - 1, u, v) if k else 0
 
 
 # trial division covers the factors below this bound; rho finds the rest
@@ -345,7 +338,7 @@ def alpha(p, scan_limit: int | None = None) -> int:
     the rank exceeds an explicit scan limit, or when p - 1 and p + 1 do not
     factor within the step budget.
     """
-    p = int(Prime(p))
+    p = Prime(p)
     rank = _least_order(p, lambda d: rec_term(FIBONACCI, d, p) == 0)
     if scan_limit is not None and rank > scan_limit:
         raise ScanExhaustedError(f"no zero of F mod {p} within {scan_limit} terms")

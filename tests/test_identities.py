@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from lucaslp import sequences
+from lucaslp.cli import run_cli
 from lucaslp.identities import (
     IndexOrderError,
     catalan_residual,
@@ -119,3 +121,12 @@ def test_shift_identity_split_indices():
             for r in range(0, 8):
                 for k in range(n + r):
                     assert shift_identity_residual(rec, n, r, k) == 0
+
+
+def test_general_sweep_misses_the_term_cache_once_per_term(capsys):
+    # n - r, n and n + r run over 0..120 at n_max 60
+    sequences._rec_term.cache_clear()
+    assert run_cli(["identity", "--which", "general", "--rec", "2,1,3,2", "--n-max", "60"]) == 0
+    capsys.readouterr()
+    info = sequences._rec_term.cache_info()
+    assert info.misses == info.currsize == 121

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from lucaslp.modmath import Prime, digits_base_p, primes_upto
 import lucaslp.lp as lp_module
+import lucaslp.modmath as modmath_module
 import lucaslp.sequences as sequences_module
 from lucaslp.lp import (
     AS_PROVED,
@@ -508,6 +509,14 @@ def test_lemma1_three_states():
         lemma1_check(fib_affine(1, 1), 5, scan=0)
 
 
+def test_lemma1_s0_is_not_necessary():
+    # S = 3, 0, 0, ... vanishes at every n >= 1, so it has the property mod 7
+    # although S(0) = 3: lemma1_check answers False all the same
+    spec = general_affine(LinearRecurrence(3, 0, 1, 0), 1, 0)
+    assert lp_bruteforce(spec, 7).holds
+    assert lemma1_check(spec, 7) is False
+
+
 def test_lemma2_geometric_form():
     # any sequence with the property and S(1) = s is s**n throughout
     assert lemma2_check(PowerSequence(3), 7, 7**2)
@@ -935,6 +944,30 @@ def sweep_key(rec, p, a, b):
     m = mat_pow_reference(rec.u, rec.v, a, p)
     det = (-rec.v) ** a % p
     return p, rec_term(rec, b) % p, rec_term(rec, a + b) % p, (m[0] + m[3]) % p, det
+
+
+def test_certificate_over_every_key_of_small_primes():
+    # an observation of this repository (ROADMAP item 1), not a result of the
+    # paper: S(n + 1) = tr*S(n) - det*S(n - 1) has the property mod p iff
+    # S(0) = 1 and S(2) = S(1)^2, or S(1) = S(2) = 0
+    for p in primes_upto(13):
+        rows = lp_module._rows(p, 3)
+        for s0, s1, tr, det in product(range(p), repeat=4):
+            s2 = (tr * s1 - det * s0) % p
+            (witness,) = lp_module._certificate(p, (tr, -det, 1, 0), [(s0, s1)], 2, rows)
+            rule = (s0 == 1 and s2 == s1 * s1 % p) or s1 == s2 == 0
+            assert (witness is None) == rule, (p, s0, s1, tr, det)
+
+
+def test_prime_moduli_are_not_rechecked(monkeypatch):
+    p = Prime(1000000000039)
+    calls = []
+    is_prime = modmath_module.is_prime
+    monkeypatch.setattr(modmath_module, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    sequences_module.alpha(p)
+    theorem3_condition(LinearRecurrence(2, 1, 3, 2), AffineIndexMap(5, 7), p)
+    lp_bruteforce(general_affine(LinearRecurrence(2, 1, 3, 2), 5, 7), p, 2)
+    assert calls == []
 
 
 def test_sweep_scans_once_per_distinct_key(monkeypatch):
