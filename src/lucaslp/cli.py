@@ -11,11 +11,11 @@ when the inputs need more memory than there is.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from itertools import compress, islice, repeat
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .modmath import Prime, primes_upto
@@ -119,29 +119,41 @@ def _columns(rows) -> list[str]:
     return list(dict.fromkeys(key for row in rows for key in row))
 
 
-def _csv_column(column):
-    # csv.writer writes None as "" and other scalars with str(), as
-    # _flatten_row leaves them; only bools need their json spelling
-    if bool in set(map(type, column)):
-        return ["true" if v is True else "false" if v is False else v for v in column]
-    return column
+def _distinct(values):
+    """(keys, distinct): a key per value, and the first value of each key. 1, True,
+    1.0 are equal keys, as are 0.0, -0.0, so mixed or float columns add type and repr."""
+    types = set(map(type, values))
+    one_type = len(types) == 1 and not issubclass(*types, float)
+    keys = values if one_type else list(zip(map(type, values), values, map(repr, values)))
+    return keys, dict(zip(keys, values))
 
 
 def _format_csv(report: Report) -> str:
     import csv  # only csv output needs it, so other commands start faster
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    lines = []  # csv.writer calls write once per row, with the row and its "\n"
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     verdicts = report.verdicts
     if type(verdicts) is _Table:
         writer.writerow(verdicts.keys)
-        writer.writerows(zip(*map(_csv_column, verdicts.columns)))
-        return buf.getvalue()
+        # as in _json_table, each distinct value of a column is written once, in
+        # a row of its own, and table rows join their spellings. csv quotes a lone
+        # empty field, so beside other columns a value gets an empty field to cut off
+        pad = [repeat("")] if len(verdicts.keys) > 1 else []
+        cells = []
+        for values in verdicts.columns:
+            keys, distinct = _distinct(values)
+            spell = ["true" if v is True else "false" if v is False else v for v in distinct.values()]
+            writer.writerows(zip(spell, *pad))
+            distinct.update(zip(distinct, [text[:-1 - len(pad)] for text in lines[1:]]))
+            del lines[1:]
+            cells.append(map(distinct.__getitem__, keys))
+        return lines[0] + "\n".join(map(",".join, zip(*cells))) + "\n"
     rows = [_flatten_row(r) for r in verdicts]
     columns = _columns(rows)
     writer.writerow(columns)
     writer.writerows([list(map(row.get, columns, repeat(""))) for row in rows])
-    return buf.getvalue()
+    return "".join(lines)
 
 
 # json.dumps(indent=2) always runs json's pure-Python encoder, one generator
@@ -160,10 +172,7 @@ def _json_table(table: _Table, level: int) -> str:
     inner = outer + "  "
     cells = []
     for n, (key, values) in enumerate(sorted(zip(*table), key=itemgetter(0))):
-        types = set(map(type, values))  # 1, True, 1.0 are equal keys, as are 0.0, -0.0
-        one_type = len(types) == 1 and not issubclass(*types, float)
-        keys = values if one_type else list(zip(map(type, values), values, map(repr, values)))
-        distinct = dict(zip(keys, values))
+        keys, distinct = _distinct(values)
         head = ("," if n else "") + inner + "  " + _encode_column(key) + ": "
         spelled = _encode_column(list(distinct.values()))[1:-1].split("\n")
         distinct.update(zip(distinct, [head + text for text in spelled]))

@@ -26,9 +26,10 @@ vanishing residue c*s(a-1) and a seed residue A(b) mod p (`_clauses`) that
 one rule, `_holds`, decides. A single in-process sweep drives the crossval
 entry points and the valid-offset enumeration. S satisfies
 x^2 - tr(M^a)*x + det(M^a) mod p from n = 0 on, so the key
-(p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue of S. Each stride
-M^a makes one certificate call for the starts A(b), A(b+1) of its new keys,
-and the sweep reads both clauses there: s(a-1) is the bottom-left entry of M^a.
+(p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue of S. Each distinct
+stride M^a mod p makes one row over the offsets: one certificate call for the
+starts A(b), A(b+1) of its new keys, and both clauses, as s(a-1) is the
+bottom-left entry of M^a. Each a of that stride builds its GridCells in C.
 
 A sequence that vanishes identically mod p satisfies the congruence
 vacuously; by the same recurrence it does so exactly when S(0) = S(1) = 0.
@@ -39,8 +40,7 @@ them out of both the disagreement count and the valid-b sets.
 from __future__ import annotations
 
 from functools import partial
-from itertools import islice
-from math import prod
+from itertools import islice, repeat
 from typing import Callable, NamedTuple
 
 from .modmath import Prime, digits_base_p, is_prime
@@ -404,15 +404,19 @@ def _certificate(p: Prime, stride, starts, order: int, rows: int) -> list:
     first violation found is the smallest n, and its n mod p is below k.
     """
     m0, m1, m2, m3 = stride
-    rows = min(rows, order + 1)  # the digits of each m < rows are below rows
+    rows = min(rows, order + 1)  # at most 3, and the digits of each m < rows are below it
     jumps = [(digits_base_p(m, p).digits, _mat_pow(stride, p * m, p)[2:]) for m in range(1, rows)]
+    states = range(min(p, order))
     def first_violation(x0, y0):
-        first = list(_stride_terms((stride, x0, y0), p, rows))
+        x1, y1 = (m2 * y0 + m3 * x0) % p, (m0 * y0 + m1 * x0) % p
+        first = (x0, x1, (m2 * y1 + m3 * x1) % p)  # S(0), S(1), S(2)
         for m, (digits, (c, d)) in enumerate(jumps, 1):
-            digit_product = prod(first[digit] for digit in digits) % p
+            digit_product = 1
+            for digit in digits:
+                digit_product = digit_product * first[digit] % p
             e = d - digit_product  # D_j(m) = c*y + e*x
             x, y = x0, y0
-            for j in range(min(p, order)):
+            for j in states:
                 if (c * y + e * x) % p:
                     lhs, rhs = (c * y + d * x) % p, digit_product * x % p
                     return Counterexample(p * m + j, lhs, (j, *digits), rhs)
@@ -733,11 +737,14 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
     on, M the companion matrix of A (see `lp_bruteforce`), so the key
     (p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue the oracle
     reads: cells with equal keys share one certificate, whatever their
-    recurrence, and each stride M^a makes one `_certificate` call for the
-    starts (A(b), A(b+1)) of its new keys. S is identically zero exactly
-    when S(0) = S(1) = 0, S(1) = A(a + b) being the bottom row of M^a times
-    (A(b+1), A(b)). `_holds` decides the clauses from that state: s(a-1) is
-    M^a's bottom-left entry, the seed S(0), or F(b) as theorem 2 is stated.
+    recurrence. Each (rec, p) makes one row per distinct stride M^a mod p, the
+    matrix and not a mod a period: one `_certificate` call for the starts
+    (A(b), A(b+1)) of its new keys, then per offset the criterion, verdict,
+    zero flag and witness, which each a of that stride reads into GridCells
+    built in C. S is identically zero exactly when S(0) = S(1) = 0, S(1) =
+    A(a + b) being the bottom row of M^a times (A(b+1), A(b)). `_holds`
+    decides the clauses from that state: s(a-1) is M^a's bottom-left entry,
+    the seed S(0), or F(b) as theorem 2 is stated.
     """
     fam = _FAMILIES[family]
     recs, primes = tuple(recs), [Prime(p) for p in primes]
@@ -760,21 +767,24 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
             starts = list(_offset_states(rec, b_values, p))
             seeds = ([x for x, _ in _offset_states(FIBONACCI, b_values, p)]
                      if reading == AS_STATED else [s0 for s0, _ in starts])
+            by_stride = {}
             for a in a_values:
                 stride = m0, m1, m2, m3 = _mat_pow((rec.u, rec.v, 1, 0), a, pi)
-                trace, det = (m0 + m3) % pi, (m0 * m3 - m1 * m2) % pi
-                vanishing = c * m2 % pi
-                keys = [(pi, s0, (m2 * y + m3 * s0) % pi, trace, det) for s0, y in starts]
-                if new := {key: start for key, start in zip(keys, starts) if key not in scans}:
-                    scans.update(zip(new, _certificate(p, stride, new.values(), 2, rows)))
-                del new  # one entry per offset at most: free it before the cells grow
-                for b, key, seed in zip(b_values, keys, seeds):
-                    witness = scans[key]
-                    cells.append((pi, a, b, _holds(vanishing, seed), witness is None,
-                                  key[1] == key[2] == 0, cell_rec, witness))
-    # tuple.__new__ builds each GridCell in C, without its Python __new__
-    cells = tuple(map(partial(tuple.__new__, GridCell), cells))
-    return AgreementReport(fam.theorem, reading, digit_bound, cells)
+                if stride not in by_stride:
+                    trace, det = (m0 + m3) % pi, (m0 * m3 - m1 * m2) % pi
+                    keys = [(pi, s0, (m2 * y + m3 * s0) % pi, trace, det) for s0, y in starts]
+                    if new := {key: start for key, start in zip(keys, starts) if key not in scans}:
+                        scans.update(zip(new, _certificate(p, stride, new.values(), 2, rows)))
+                    witness = list(map(scans.__getitem__, keys))
+                    by_stride[stride] = (list(map(_holds, repeat(c * m2 % pi), seeds)),
+                                         [w is None for w in witness],
+                                         [key[1] == key[2] == 0 for key in keys], witness)
+                    del new, keys  # one entry per offset each: free them before the cells grow
+                predicted, holds, zero, witness = by_stride[stride]
+                # tuple.__new__ builds each GridCell in C, from zip's reused tuple
+                cells += map(partial(tuple.__new__, GridCell), zip(
+                    repeat(pi), repeat(a), b_values, predicted, holds, zero, repeat(cell_rec), witness))
+    return AgreementReport(fam.theorem, reading, digit_bound, tuple(cells))
 
 
 def crossval_theorem1(primes, a_values, b_values, digit_bound: int = 3) -> AgreementReport:

@@ -59,8 +59,8 @@ def is_prime(n: int) -> bool:
 
 
 def primes_upto(bound: int) -> list["Prime"]:
-    """All primes p with 2 <= p <= bound, ascending."""
-    return [Prime(n) for n in range(2, bound + 1) if is_prime(n)]
+    """All primes p with 2 <= p <= bound, ascending, each tested once."""
+    return [int.__new__(Prime, n) for n in range(2, bound + 1) if is_prime(n)]
 
 
 class Prime(int):

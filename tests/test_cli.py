@@ -903,6 +903,38 @@ def test_json_table_spells_equal_values_of_each_type_apart():
     )
 
 
+def csv_writer_reference(table):
+    """A table's rows written by one plain csv.writer, bools spelled as json spells them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.keys)
+    spell = {True: "true", False: "false"}
+    writer.writerows([spell[v] if type(v) is bool else v for v in row]
+                     for row in zip(*table.columns))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("keys, columns", [
+    # values csv must quote: an embedded newline or carriage return, a comma, a quote
+    (("n", 'q"'), ([1, 2, 3, 4, 5, 1], ["a\nb", "x,y", 'say "hi"', "\r", "plain", "a\nb"])),
+    (("text", "n"), (['"', "\n", ",", '"', "\r\n", ""], [7, 7, 8, 8, 9, 9])),
+    # equal keys that csv spells apart, each beside another column
+    (("empty", "one", "zero"), (
+        ["", None, "", None, None, ""],
+        [True, 1, 1, True, 1.0, False],
+        [0.0, -0.0, 0.0, 0, False, -0.0],
+    )),
+    # one column: csv quotes a lone empty field, and writes None as one
+    (("only",), (["", "x", None, "", "a,b"],)),
+    (("only",), ([None, None],)),
+    (("",), ([""],)),
+    (("",), ([0.0, -0.0, True, 1, ""],)),
+])
+def test_csv_table_path_matches_csv_writer(keys, columns):
+    table = cli._Table(keys, columns)
+    assert format_report(Report("demo", {}, table), "csv") == csv_writer_reference(table)
+
+
 def test_format_validation():
     with pytest.raises(ValueError):
         format_report(Report("demo", {}, []), "yaml")

@@ -858,13 +858,14 @@ def test_crossval_zero_cells_never_counted_as_disagreement():
     assert report.disagreements == ()
 
 
-def reference_cells(family, recs, reading):
-    """Every cell of the sweep grid scanned on its own, zero check at full length."""
+def reference_cells(family, recs, reading, primes=SWEEP_PRIMES, a_values=SWEEP_A,
+                    b_values=SWEEP_B):
+    """Every cell of a grid scanned on its own, zero check at full length."""
     cells = []
     for rec in recs:
-        for p in SWEEP_PRIMES:
-            for a in SWEEP_A:
-                for b in SWEEP_B:
+        for p in primes:
+            for a in a_values:
+                for b in b_values:
                     spec = general_affine(rec, a, b)
                     verdict = full_scan_reference(spec, p, 3)
                     zero = verdict.holds and sequence_is_zero_mod(spec, p, 3)
@@ -990,9 +991,39 @@ def test_sweep_scans_once_per_distinct_key(monkeypatch):
     keys = {sweep_key(c.rec, c.prime, c.a, c.b) for c in report.cells}
     per_rec = {(c.rec, sweep_key(c.rec, c.prime, c.a, c.b)) for c in report.cells}
     assert len(starts) == len(keys) < len(per_rec)
-    # one call per stride at most, and some stride hands it several starts
-    assert len(strides) <= len(recs) * len(SWEEP_PRIMES) * len(SWEEP_A) < len(starts)
+    # one call per distinct (rec, p, M^a mod p) at most, where strides repeat
+    # on this grid, and some stride hands it several starts
+    distinct_strides = {
+        (rec, p, mat_pow_reference(rec.u, rec.v, a, p))
+        for rec in recs for p in SWEEP_PRIMES for a in SWEEP_A
+    }
+    assert len(strides) <= len(distinct_strides) < len(recs) * len(SWEEP_PRIMES) * len(SWEEP_A)
+    assert len(strides) < len(starts)
     assert len(report.cells) == len(recs) * len(SWEEP_PRIMES) * len(SWEEP_A) * len(SWEEP_B)
+
+
+@pytest.mark.parametrize("family, rec, p, a_values, b_values", [
+    # M^16 = I mod 7 for Fibonacci and Lucas: a and a + 16 share each stride
+    ("fib", FIBONACCI, 7, (1, 2, 3, 16, 17, 18, 19), range(20)),
+    ("lucas", LUCAS_NUMBERS, 7, (1, 2, 3, 16, 17, 18, 19), range(20)),
+    # 7 | v: M = (2, 0, 1, 0) mod 7, so M^a repeats with period 3 from a = 1
+    # on, and A = 3, 5, 3, 6, 5, 3, 6, ... mod 7 has preperiod 1
+    ("general", LinearRecurrence(3, 5, 2, 7), 7, range(1, 10), range(6)),
+    # 5 | u, v: M = (0, 0, 1, 0) mod 5 is nilpotent, M^a = 0 for every
+    # a >= 2, and A = 2, 3, 0, 0, ... mod 5 has preperiod 2
+    ("general", LinearRecurrence(2, 3, 5, 10), 5, range(1, 7), range(5)),
+])
+def test_sweep_matches_reference_where_strides_repeat(family, rec, p, a_values, b_values):
+    strides = [mat_pow_reference(rec.u, rec.v, a, p) for a in a_values]
+    assert len(set(strides)) < len(strides)
+    if family == "general":
+        # the cells with b inside the preperiod read a stride that repeats
+        assert period_mod(rec, p).preperiod > min(b_values)
+    sweep = {"fib": lambda: crossval_theorem1((p,), a_values, b_values),
+             "lucas": lambda: crossval_theorem2((p,), a_values, b_values),
+             "general": lambda: crossval_theorem3((rec,), (p,), a_values, b_values)}
+    expected = reference_cells(family, (rec,), AS_PROVED, (p,), a_values, b_values)
+    assert report_tuples(sweep[family](), (rec,)) == expected
 
 
 @settings(max_examples=60, deadline=None)

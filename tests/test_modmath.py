@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lucaslp.modmath as modmath_module
 from lucaslp.modmath import (
     DigitExpansion,
     NonInvertibleError,
@@ -75,6 +76,17 @@ def test_primes_upto():
     assert primes_upto(13) == [2, 3, 5, 7, 11, 13]
     assert primes_upto(1) == []
     assert all(isinstance(p, Prime) for p in primes_upto(30))
+
+
+def test_primes_upto_tests_each_n_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        modmath_module, "is_prime", lambda n: calls.append(n) or is_prime(n)
+    )
+    primes = primes_upto(200)
+    assert calls == list(range(2, 201))
+    assert primes == [n for n in range(2, 201) if trial_division(n)]
+    assert all(type(p) is Prime for p in primes)
 
 
 def test_prime_type_validates():
