@@ -42,6 +42,9 @@ from .lp import (
     _clauses,
     _holds,
     corollary1_counterexample,
+    crossval_theorem1,
+    crossval_theorem2,
+    crossval_theorem3,
     enumerate_valid_b,
     lp_bruteforce,
 )
@@ -245,27 +248,21 @@ def format_report(report: Report, fmt: str = "json") -> str:
 # argument types
 
 
-def _prime_type(text: str) -> Prime:
+def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return Prime(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        return tuple(map(int, text.split(",")))
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _rec_type(text: str) -> LinearRecurrence:
-    try:
-        return LinearRecurrence.from_string(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _int_list_type(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from exc
+def _arg_type(parse):
+    """`parse` as an argparse type: its ValueError message is the usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +386,9 @@ def _cmd_alpha(args):
 
 def _cmd_period(args):
     rec = args.rec if args.rec is not None else FIBONACCI
-    info = period_mod(rec, args.prime)
-    row = {
-        "rec": rec.as_string(),
-        "prime": int(args.prime),
-        "preperiod": info.preperiod,
-        "period": info.period,
-    }
-    return Report("period", {"prime": int(args.prime), "rec": rec.as_string()}, [row]), 0
+    inputs = {"rec": rec.as_string(), "prime": int(args.prime)}
+    row = {**inputs, **period_mod(rec, args.prime)._asdict()}
+    return Report("period", inputs, [row]), 0
 
 
 def _sweep_residuals(pairs, residual):
@@ -508,9 +500,12 @@ def _cmd_crossval(args):
     with_rec = fam.rec is None
     if with_rec:
         inputs["recs"] = [r.as_string() for r in recs]
-    sweep = fam.crossval(
-        recs, primes, range(1, args.a_max + 1), range(args.b_max + 1), reading, args.digits
-    )
+    grid = primes, range(1, args.a_max + 1), range(args.b_max + 1)
+    # each entry point by its module-level name at call time, so one rebound
+    # on this module (as a tracer does) is the one that runs
+    sweep = (crossval_theorem1(*grid, args.digits) if fam.theorem == 1 else
+             crossval_theorem2(*grid, reading, args.digits) if fam.theorem == 2 else
+             crossval_theorem3(recs, *grid, args.digits))
     cells = sweep.cells
     # the fields of every GridCell as columns, and its disagrees property
     prime, a, b, predicted, holds, zero, rec, witness = zip(*cells) if cells else ((),) * 8
@@ -570,6 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lucaslp",
         description="Verify digit-product congruences for integer sequences mod p.",
     )
+    prime_type, rec_type = _arg_type(Prime), _arg_type(LinearRecurrence.from_string)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "csv", "plain"), default="json",
@@ -584,13 +580,13 @@ def build_parser() -> argparse.ArgumentParser:
         "variant",
         choices=(*_BY_VARIANT, "power", "apery", "omega", "table"),
     )
-    p_check.add_argument("--prime", type=_prime_type, required=True)
+    p_check.add_argument("--prime", type=prime_type, required=True)
     p_check.add_argument("--digits", type=int, default=3, help="scan all n < prime**digits")
     p_check.add_argument("--a", type=int, help="index stride for affine variants")
     p_check.add_argument("--b", type=int, help="index offset for affine variants")
-    p_check.add_argument("--rec", type=_rec_type, help="recurrence A0,A1,u,v")
+    p_check.add_argument("--rec", type=rec_type, help="recurrence A0,A1,u,v")
     p_check.add_argument("--base", type=int, help="base for the power variant")
-    p_check.add_argument("--values", type=_int_list_type, help="comma-separated table values")
+    p_check.add_argument("--values", type=_arg_type(_int_list), help="comma-separated table values")
     p_check.set_defaults(handler=_cmd_lp_check)
 
     p_thm = sub.add_parser(
@@ -599,8 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--which", type=int, choices=tuple(_BY_THEOREM), required=True)
     p_thm.add_argument("--a", type=int, required=True)
     p_thm.add_argument("--b", type=int, required=True)
-    p_thm.add_argument("--prime", type=_prime_type, required=True)
-    p_thm.add_argument("--rec", type=_rec_type, help="recurrence A0,A1,u,v (criterion 3)")
+    p_thm.add_argument("--prime", type=prime_type, required=True)
+    p_thm.add_argument("--rec", type=rec_type, help="recurrence A0,A1,u,v (criterion 3)")
     p_thm.add_argument(
         "--reading", choices=(AS_PROVED, AS_STATED),
         help="seed clause variant for criterion 2 (default as-proved)",
@@ -613,22 +609,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument("--family", choices=tuple(_FAMILIES), default="fib")
     p_enum.add_argument("--a", type=int, required=True)
-    p_enum.add_argument("--prime", type=_prime_type, required=True)
+    p_enum.add_argument("--prime", type=prime_type, required=True)
     p_enum.add_argument("--digits", type=int, default=3)
-    p_enum.add_argument("--rec", type=_rec_type, help="recurrence A0,A1,u,v (family general)")
+    p_enum.add_argument("--rec", type=rec_type, help="recurrence A0,A1,u,v (family general)")
     p_enum.set_defaults(handler=_cmd_enumerate_b)
 
     p_alpha = sub.add_parser(
         "alpha", parents=[common], help="least n >= 1 with p dividing F(n)"
     )
-    p_alpha.add_argument("--prime", type=_prime_type, required=True)
+    p_alpha.add_argument("--prime", type=prime_type, required=True)
     p_alpha.set_defaults(handler=_cmd_alpha)
 
     p_period = sub.add_parser(
         "period", parents=[common], help="preperiod and period of a recurrence mod p"
     )
-    p_period.add_argument("--prime", type=_prime_type, required=True)
-    p_period.add_argument("--rec", type=_rec_type, help="recurrence A0,A1,u,v (default Fibonacci)")
+    p_period.add_argument("--prime", type=prime_type, required=True)
+    p_period.add_argument("--rec", type=rec_type, help="recurrence A0,A1,u,v (default Fibonacci)")
     p_period.set_defaults(handler=_cmd_period)
 
     p_ident = sub.add_parser(
@@ -639,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ident.add_argument("--n-max", type=int, dest="n_max")
     p_ident.add_argument(
-        "--rec", type=_rec_type, action="append",
+        "--rec", type=rec_type, action="append",
         help="recurrence A0,A1,u,v; repeatable (general and shift)",
     )
     p_ident.set_defaults(handler=_cmd_identity)
@@ -650,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_special.add_argument("--seq", choices=("apery", "omega"), required=True)
     p_special.add_argument("--n", type=int, dest="n_max", required=True,
                            help="tabulate indices 0..n")
-    p_special.add_argument("--prime", type=_prime_type, help="reduce values mod this prime")
+    p_special.add_argument("--prime", type=prime_type, help="reduce values mod this prime")
     p_special.set_defaults(handler=_cmd_special)
 
     p_cross = sub.add_parser(
@@ -668,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed clause variant for theorem 2 (default as-proved)",
     )
     p_cross.add_argument(
-        "--rec", type=_rec_type, action="append",
+        "--rec", type=rec_type, action="append",
         help="recurrence A0,A1,u,v; repeatable (theorem 3)",
     )
     p_cross.set_defaults(handler=_cmd_crossval)

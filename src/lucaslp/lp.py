@@ -17,19 +17,22 @@ certificate: rows m = 1..k and states j < k, at any p, with the full scan's
 verdict and counterexample. The first violation has n mod p < k, and a
 holding verdict holds for every n once p**(digit_bound - 1) > k; no
 criterion and no period enters. F(42n+1) mod 211 reads four states instead
-of 211**3 terms. Table, Apery and omega specs are read as one stream.
+of 211**3 terms. Table, Apery and omega specs are read as one stream, of
+at most _TERM_BUDGET terms: a longer scan is refused before it starts.
 
 Every affine subsequence S(n) = A(a*n + b) of a second-order recurrence is
-one `AffineSequence`; a family table maps "fib", "lucas" and "general" to
-their recurrence and their criterion, theorem 3's rule on fixed data: a
+one `AffineSequence`. A family table holds, as data only, the theorem
+number, recurrence, variant, reading, report columns and sign of "fib",
+"lucas" and "general". Each criterion is theorem 3's rule on fixed data: a
 vanishing residue c*s(a-1) and a seed residue A(b) mod p (`_clauses`) that
-one rule, `_holds`, decides. A single in-process sweep drives the crossval
-entry points and the valid-offset enumeration. S satisfies
-x^2 - tr(M^a)*x + det(M^a) mod p from n = 0 on, so the key
-(p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue of S. Each distinct
-stride M^a mod p makes one row over the offsets: one certificate call for the
-starts A(b), A(b+1) of its new keys, and both clauses, as s(a-1) is the
-bottom-left entry of M^a. Each a of that stride builds its GridCells in C.
+one rule, `_holds`, decides. A single in-process sweep drives the three
+crossval entry points, which the CLI calls by name, and the valid-offset
+enumeration. S satisfies x^2 - tr(M^a)*x + det(M^a) mod p from n = 0 on,
+so the key (p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue of S.
+Each distinct stride M^a mod p makes one row over the offsets: one
+certificate call for the starts A(b), A(b+1) of its new keys, and both
+clauses, as s(a-1) is the bottom-left entry of M^a. Each a of that stride
+builds its GridCells in C.
 
 A sequence that vanishes identically mod p satisfies the congruence
 vacuously; by the same recurrence it does so exactly when S(0) = S(1) = 0.
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import islice, repeat
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .modmath import Prime, digits_base_p, is_prime
 from .sequences import (
@@ -49,6 +52,7 @@ from .sequences import (
     LUCAS_NUMBERS,
     PELL,
     LinearRecurrence,
+    ScanExhaustedError,
     _mat_pow,
     _stride_terms,
     period_mod,
@@ -162,7 +166,7 @@ class SequenceSpec:
 
     def describe(self) -> dict:
         """Flat, JSON-friendly description of the sequence, used in reports."""
-        raise NotImplementedError
+        return {"variant": self.variant}
 
 
 class AffineSequence(
@@ -229,9 +233,6 @@ class AperySequence(SequenceSpec, NamedTuple("AperySequence", [])):
         p = int(Prime(p))
         return (term % p for term in islice(_apery_terms(), count))
 
-    def describe(self):
-        return {"variant": self.variant}
-
 
 class OmegaSequence(SequenceSpec, NamedTuple("OmegaSequence", [])):
     """S(n) = the nth reciprocal-Bessel coefficient, read mod p in one pass
@@ -242,9 +243,6 @@ class OmegaSequence(SequenceSpec, NamedTuple("OmegaSequence", [])):
 
     def iter_residues(self, p, count):
         return islice(_omega_residues(int(Prime(p))), count)
-
-    def describe(self):
-        return {"variant": self.variant}
 
 
 class TableSequence(
@@ -356,7 +354,8 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     Table, Apery and omega specs have no order and are read as one stream
     of every n < p**digit_bound. Their digit products are built up
     dynamically: the product for n reuses the product for n // p, so that
-    scan is linear in the number of indices checked.
+    scan is linear in the number of indices checked. A stream of more than
+    _TERM_BUDGET terms raises ScanExhaustedError before any term is read.
     """
     p = Prime(p)
     pi = int(p)
@@ -365,6 +364,10 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
         stride, *start = spec._stride_state(p)
         (witness,) = _certificate(p, stride, [start], spec._order, rows)
         return LPVerdict(witness is None, p, digit_bound, witness)
+    if rows * pi > _TERM_BUDGET:
+        # p^digits is not spelled out: it may have more digits than str() converts
+        raise ScanExhaustedError(
+            f"{pi}^{digit_bound} terms exceed the stream scan budget of {_TERM_BUDGET}")
     it = spec.iter_residues(p, rows * pi)
     head = list(islice(it, pi))
     prods = head[:rows]  # digit products of m = 0, 1, ...; the scan reads m < rows
@@ -558,24 +561,15 @@ class _Family(NamedTuple):
     reading: str | None  # default seed-clause reading; None where there is no choice
     clauses: tuple[str, str]  # report columns of the vanishing and the seed residue
     sign: int  # of c relative to theorem 3's (see `_clauses`)
-    crossval: Callable  # (recs, primes, a_values, b_values, reading, digits) -> report
 
 
-# The crossval entry points are looked up by module-level name at call time,
-# so rebinding one of them on the module (as perfbench/tracer.py does)
-# reaches every user of this table.
 _FAMILIES = {
-    "fib": _Family(
-        1, FIBONACCI, "fib-affine", None, ("fib_a_mod_p", "fib_b_mod_p"), -1,
-        lambda recs, primes, a, b, reading, d: crossval_theorem1(primes, a, b, d),
-    ),
+    "fib": _Family(1, FIBONACCI, "fib-affine", None, ("fib_a_mod_p", "fib_b_mod_p"), -1),
     "lucas": _Family(
-        2, LUCAS_NUMBERS, "lucas-affine", AS_PROVED, ("five_fib_a_mod_p", "seed_term_mod_p"), 1,
-        lambda recs, primes, a, b, reading, d: crossval_theorem2(primes, a, b, reading, d),
+        2, LUCAS_NUMBERS, "lucas-affine", AS_PROVED, ("five_fib_a_mod_p", "seed_term_mod_p"), 1
     ),
     "general": _Family(
-        3, None, "general-affine", None, ("vanishing_factor_mod_p", "term_b_mod_p"), 1,
-        lambda recs, primes, a, b, reading, d: crossval_theorem3(recs, primes, a, b, d),
+        3, None, "general-affine", None, ("vanishing_factor_mod_p", "term_b_mod_p"), 1
     ),
 }
 
@@ -600,6 +594,9 @@ class BEnumeration(NamedTuple):
 
 
 _OFFSET_BUDGET = 1 << 18  # offsets swept at most; 200,008 at p = 100003 peak at 170 MB
+# terms a table, Apery or omega stream is read for at most. Exact Apery terms
+# grow, so its 41^3 = 68,921 take 13 s (2 CPUs, Python 3.11.7)
+_TERM_BUDGET = 1 << 17
 
 
 def enumerate_valid_b(

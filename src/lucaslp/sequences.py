@@ -1,7 +1,8 @@
 """Fibonacci, Lucas, and general second-order recurrences, exact and mod p.
 
 Every term by index, exact or mod p, is a power of the 2x2 companion matrix
-M = [[u, v], [1, 0]] (`rec_term`); Fibonacci and Lucas numbers are the
+M = [[u, v], [1, 0]] (`rec_term`), and so is the shift coefficient s(k), the
+bottom-left entry of M^(k+1) (`s_poly`); Fibonacci and Lucas numbers are the
 recurrences FIBONACCI and LUCAS_NUMBERS.
 
 Residue sequences mod p are ultimately periodic in the state pair
@@ -27,7 +28,7 @@ from itertools import count
 from math import gcd
 from typing import NamedTuple
 
-from .modmath import Prime, binomial_exact, is_prime
+from .modmath import Prime, is_prime
 
 __all__ = [
     "ScanExhaustedError",
@@ -175,13 +176,11 @@ def rec_term(rec: LinearRecurrence, n: int, modulus=None) -> int:
 
 @lru_cache(maxsize=1024)
 def s_poly(k: int, u: int, v: int) -> int:
-    """Shift coefficient s(k) = sum over i of C(k-i, i) u^(k-2i) v^i."""
+    """Shift coefficient s(k) = sum over i of C(k-i, i) u^(k-2i) v^i, the
+    bottom-left entry of M^(k+1) for the companion matrix M = (u, v, 1, 0)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return sum(
-        binomial_exact(k - i, i) * u ** (k - 2 * i) * v**i
-        for i in range(k // 2 + 1)
-    )
+    return _mat_pow((u, v, 1, 0), k + 1, None)[2]
 
 
 def t_poly(k: int, u: int, v: int) -> int:

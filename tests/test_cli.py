@@ -105,6 +105,40 @@ def test_lp_check_usage_errors(capsys):
     assert code == 2 and "general-affine" in err
 
 
+def test_lp_check_table_usage_errors(capsys):
+    code, out, err = run(capsys, "lp-check", "table", "--prime", "5", "--values", "1,x")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --values: expected comma-separated integers, got '1,x'\n")
+    assert run(capsys, "lp-check", "table", "--prime", "5") == (
+        2, "", "error: variant table needs --values v0,v1,...\n"
+    )
+
+
+@pytest.mark.parametrize("argv, terms", [
+    (("apery", "--prime", "101", "--digits", "3"), "101^3"),
+    (("apery", "--prime", "1000003", "--digits", "2"), "1000003^2"),
+    (("omega", "--prime", "61", "--digits", "3"), "61^3"),
+    (("omega", "--prime", "1009", "--digits", "2"), "1009^2"),
+    # 5^10000 has more digits than str() spells by default
+    (("table", "--values", "1", "--prime", "5", "--digits", "10000"), "5^10000"),
+])
+def test_lp_check_stream_past_its_term_budget_exits_2(capsys, argv, terms):
+    # the apery and omega scans ran past 10 s before the budget; now each is one line
+    start = time.perf_counter()
+    assert run(capsys, "lp-check", *argv) == (
+        2, "", f"error: {terms} terms exceed the stream scan budget of 131072\n"
+    )
+    assert time.perf_counter() - start < 1
+
+
+def test_negative_first_rec_entry_needs_an_equals_sign(capsys):
+    # argparse reads "-1,2,1,1" after a space as an option, not as --rec's value
+    code, report = run_json(capsys, "period", "--prime", "7", "--rec=-1,2,1,1")
+    assert code == 0 and report["inputs"]["rec"] == "-1,2,1,1"
+    code, out, err = run(capsys, "period", "--prime", "7", "--rec", "-1,2,1,1")
+    assert (code, out) == (2, "") and "expected one argument" in err
+
+
 # ---------------------------------------------------------------------------
 # theorem
 
@@ -372,6 +406,35 @@ def test_identity_subcommand(capsys):
     assert report["verdicts"][0]["rec"] == "2,1,3,2"
 
 
+def test_identity_reports_nonzero_residuals(capsys, monkeypatch):
+    # no true identity is nonzero, so a patched residual drives the nonzero path
+    wrong = {(2, 1): -7, (3, 0): 3, (3, 2): 5}
+    monkeypatch.setattr(cli, "catalan_residual", lambda n, r: wrong.get((n, r), 0))
+    code, report = run_json(capsys, "identity", "--which", "catalan", "--n-max", "3")
+    assert code == 1
+    assert report["verdicts"] == [{
+        "identity": "catalan", "n_max": 3, "cells": 10,
+        "nonzero": 3, "max_abs_residual": 7, "first_nonzero": "n=2,r=1",
+    }]
+    pell = LinearRecurrence(0, 1, 2, 1)
+    monkeypatch.setattr(cli, "general_catalan_residual",
+                        lambda rec, n, r: -4 if rec == pell and (n, r) == (4, 2) else 0)
+    code, report = run_json(
+        capsys, "identity", "--which", "general", "--n-max", "4", "--rec", "0,1,1,1",
+        "--rec", "0,1,2,1",
+    )
+    assert code == 1
+    stats = [(r["rec"], r["nonzero"], r["max_abs_residual"], r["first_nonzero"])
+             for r in report["verdicts"]]
+    assert stats == [("0,1,1,1", 0, 0, None), ("0,1,2,1", 1, 4, "n=4,r=2")]
+
+
+def test_identity_rejects_a_negative_n_max(capsys):
+    assert run(capsys, "identity", "--which", "general", "--n-max", "-1") == (
+        2, "", "error: --n-max must be >= 0, got -1\n"
+    )
+
+
 def test_identity_sweep_builds_no_cell_list(capsys):
     # a list of (label, args) for every cell, built before any residual,
     # peaked at 8.5 MB here and at 120 MB RSS for --n-max 1000
@@ -552,6 +615,23 @@ def test_crossval_flag_scoping(capsys):
     assert code == 2
     code, out, err = run(capsys, "crossval", "--theorem", "1", "--prime-bound", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("theorem", [1, 2, 3])
+def test_crossval_calls_its_entry_point_by_module_name(capsys, monkeypatch, theorem):
+    # a tracer times a sweep by rebinding crossval_theorem{n} on the cli module:
+    # the command must call exactly that name, once
+    argv = ("crossval", "--theorem", str(theorem), "--prime-bound", "7",
+            "--a-max", "3", "--b-max", "3")
+    expected = run(capsys, *argv)
+    calls = []
+    for n in (1, 2, 3):
+        def spy(*args, n=n, original=getattr(cli, f"crossval_theorem{n}")):
+            calls.append(n)
+            return original(*args)
+        monkeypatch.setattr(cli, f"crossval_theorem{n}", spy)
+    assert run(capsys, *argv) == expected
+    assert calls == [theorem]
 
 
 def test_counterexample_found(capsys):

@@ -742,6 +742,39 @@ def test_enumerate_valid_b_refuses_offsets_past_its_budget(monkeypatch):
             enumerate_valid_b("fib", 1, 7)
 
 
+def test_stream_scan_refuses_terms_past_its_budget(monkeypatch):
+    # 7^2 = 49 terms fit a budget of 49
+    monkeypatch.setattr(lp_module, "_TERM_BUDGET", 49)
+    specs = (AperySequence(), OmegaSequence(), TableSequence((1,) * 49))
+    assert all(lp_bruteforce(spec, 7, 2).holds for spec in specs)
+
+    def refuse(self, p, count):
+        raise AssertionError("no term may be read past the budget")
+
+    for spec in specs:
+        monkeypatch.setattr(type(spec), "iter_residues", refuse)
+    for budget in (48, 10):
+        monkeypatch.setattr(lp_module, "_TERM_BUDGET", budget)
+        message = f"^7\\^2 terms exceed the stream scan budget of {budget}$"
+        for spec in specs:
+            with pytest.raises(ScanExhaustedError, match=message):
+                lp_bruteforce(spec, 7, 2)
+    # specs with an order read their certificate, not a stream of p^digits terms
+    assert lp_bruteforce(PowerSequence(3), 7, 4).holds
+    assert lp_bruteforce(fib_affine(8, 1), 7, 4).holds
+
+
+def test_stream_budget_admits_the_largest_documented_scan():
+    # lp-check apery --prime 41 --digits 3, the longest stream the README and CI run
+    assert 41**3 <= lp_module._TERM_BUDGET
+
+
+def test_family_table_holds_only_data():
+    # the CLI calls each crossval entry point by name, so no row carries one
+    for fam in _FAMILIES.values():
+        assert not any(map(callable, fam)), fam
+
+
 def test_enumerate_valid_b_oracle_agreement():
     # every offset's verdicts re-derive from its own full-length scans; the
     # strides run past the period, and the general recurrences put some b

@@ -269,6 +269,16 @@ def test_s_poly_examples():
         s_poly(-1, 1, 1)
 
 
+def test_s_poly_matches_the_binomial_sum():
+    # s_poly reads M^(k+1); the binomial sum it replaced is the reference
+    for u, v in ((1, 1), (2, 1), (3, -2), (-4, -7), (5, 0), (0, 3), (-1, 0), (0, 0), (7, -11)):
+        for k in range(41):
+            expected = sum(
+                math.comb(k - i, i) * u ** (k - 2 * i) * v**i for i in range(k // 2 + 1)
+            )
+            assert s_poly(k, u, v) == expected, (k, u, v)
+
+
 def test_t_poly_examples():
     assert t_poly(0, 9, -7) == 0
     assert t_poly(1, 4, 11) == 11

@@ -148,6 +148,8 @@ def test_omega_mod_matches_exact():
             assert omega_mod(n, p) == omega(n) % p, (n, p)
     with pytest.raises(ValueError):
         omega_mod(3, 8)
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        omega_mod(-1, 5)
 
 
 def test_omega_mod_tables_are_bounded():
