@@ -19,6 +19,10 @@ holding verdict holds for every n once p**(digit_bound - 1) > k; no
 criterion and no period enters. F(42n+1) mod 211 reads four states instead
 of 211**3 terms. Table, Apery and omega specs are read as one stream, of
 at most _TERM_BUDGET terms: a longer scan is refused before it starts.
+`_rows` is the one rule for how many rows m a scan reaches, and stops at a
+power of p past what either reader takes, so no scan builds p**digit_bound.
+The same order bounds the zero check and lemma 2's geometric form: k terms
+decide whether S vanishes, and k + 1 whether S(n) = S(1)**n for every n.
 
 Every affine subsequence S(n) = A(a*n + b) of a second-order recurrence is
 one `AffineSequence`. A family table holds, as data only, the theorem
@@ -27,8 +31,11 @@ number, recurrence, variant, reading, report columns and sign of "fib",
 vanishing residue c*s(a-1) and a seed residue A(b) mod p (`_clauses`) that
 one rule, `_holds`, decides. A single in-process sweep drives the three
 crossval entry points, which the CLI calls by name, and the valid-offset
-enumeration. S satisfies x^2 - tr(M^a)*x + det(M^a) mod p from n = 0 on,
-so the key (p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue of S.
+enumeration. It alone bounds their size: it counts a grid's cells from
+the lengths of its inputs and refuses more than _CELL_BUDGET before it
+reads any of them. S satisfies x^2 - tr(M^a)*x + det(M^a) mod p from
+n = 0 on, so the key (p, S(0), S(1), tr M^a, det M^a) mod p fixes every
+residue of S.
 Each distinct stride M^a mod p makes one row over the offsets: one
 certificate call for the starts A(b), A(b+1) of its new keys, and both
 clauses, as s(a-1) is the bottom-left entry of M^a. Each a of that stride
@@ -386,10 +393,14 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
 
 
 def _rows(p: int, digit_bound: int) -> int:
-    """The values of m = n // p that a scan of every n < p**digit_bound reaches."""
+    """The values of m = n // p that a scan of every n < p**digit_bound
+    reaches, or p**e once digit_bound - 1 exceeds e, the bit length of
+    _TERM_BUDGET: the certificate reads at most k + 1 <= 3 rows and the
+    stream at most _TERM_BUDGET // p, and p**e >= 2**e exceeds both, so
+    neither reader's answer changes and p**digit_bound is never built."""
     if digit_bound < 2:
         raise ValueError(f"digit_bound must be >= 2, got {digit_bound}")
-    return p ** (digit_bound - 1)
+    return p ** min(digit_bound - 1, _TERM_BUDGET.bit_length())
 
 
 def _certificate(p: Prime, stride, starts, order: int, rows: int) -> list:
@@ -432,14 +443,14 @@ def sequence_is_zero_mod(spec: SequenceSpec, p, digit_bound: int = 3) -> bool:
     """True when S(n) is 0 mod p for every n the oracle would scan.
 
     Such a sequence passes the oracle vacuously; callers use this to flag
-    those passes instead of counting them as evidence. A spec of recurrence
-    order k is read for k terms at most, as k zeros force all zeros.
+    those passes instead of counting them as evidence. It is `lemma1_check`
+    answering None on that scan, which reads a spec of recurrence order k
+    for its first k terms, as k zeros force all zeros, and never forms
+    p**digit_bound for it.
     """
     if digit_bound < 1:
         raise ValueError(f"digit_bound must be >= 1, got {digit_bound}")
-    p = Prime(p)
-    count = int(p) ** digit_bound
-    return all(r == 0 for r in spec.iter_residues(p, min(count, spec._order or count)))
+    return lemma1_check(spec, p := Prime(p), spec._order or int(p) ** digit_bound) is None
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +481,18 @@ def lemma1_check(spec: SequenceSpec, p, scan: int | None = None):
 
 
 def lemma2_check(spec: SequenceSpec, p, n_bound: int) -> bool:
-    """Check the geometric form S(n) = S(1)**n mod p for all n < n_bound."""
+    """Check the geometric form S(n) = S(1)**n mod p for all n < n_bound.
+
+    A spec of recurrence order k is read for min(n_bound, k + 1) terms: it
+    satisfies its recurrence from n = 0 on, so S(n) = S(1)**n for n <= k
+    makes S(1) a root of the recurrence's polynomial, so S(1)**n satisfies
+    the recurrence too and, agreeing with S on its first k terms, equals S.
+    """
     p = Prime(p)
     if n_bound < 1:
         raise ValueError(f"n_bound must be >= 1, got {n_bound}")
     pi = int(p)
-    it = spec.iter_residues(p, n_bound)
+    it = spec.iter_residues(p, min(n_bound, (spec._order or n_bound) + 1))
     if next(it) != 1 % pi:
         return False
     s1 = expected = next(it, 1)
@@ -593,7 +610,9 @@ class BEnumeration(NamedTuple):
         return self.valid_b == self.predicted_b
 
 
-_OFFSET_BUDGET = 1 << 18  # offsets swept at most; 200,008 at p = 100003 peak at 170 MB
+# cells a sweep holds at most: enumerate-b's 262,048 offsets at p = 131023
+# peak at 190 MB
+_CELL_BUDGET = 1 << 18
 # terms a table, Apery or omega stream is read for at most. Exact Apery terms
 # grow, so its 41^3 = 68,921 take 13 s (2 CPUs, Python 3.11.7)
 _TERM_BUDGET = 1 << 17
@@ -613,8 +632,9 @@ def enumerate_valid_b(
     offsets repeat with the period, reported as `modulus`. Identically-zero
     offsets (vacuous passes) are listed separately and excluded from
     valid_b. predicted_b holds the offsets the closed-form criterion
-    accepts, for side-by-side comparison. More than _OFFSET_BUDGET offsets
-    raise ScanExhaustedError before any is swept.
+    accepts, for side-by-side comparison. Each offset is one cell of
+    `_sweep`, so more than _CELL_BUDGET offsets raise its ScanExhaustedError
+    before any is swept.
     """
     p = Prime(p)
     if family not in _FAMILIES:
@@ -622,7 +642,7 @@ def enumerate_valid_b(
     base_rec = _FAMILIES[family].rec or rec
     if base_rec is None:
         raise ValueError("family 'general' needs an explicit recurrence")
-    info = period_mod(base_rec, p, _OFFSET_BUDGET)
+    info = period_mod(base_rec, p)
     offsets = range(info.preperiod + info.period)
     cells = _sweep(family, (base_rec,), (p,), (a,), offsets, digit_bound, AS_PROVED).cells
     return BEnumeration(
@@ -742,11 +762,19 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
     A(a + b) being the bottom row of M^a times (A(b+1), A(b)). `_holds`
     decides the clauses from that state: s(a-1) is M^a's bottom-left entry,
     the seed S(0), or F(b) as theorem 2 is stated.
+
+    The sweep is the one place that bounds a grid: more than _CELL_BUDGET
+    cells raise ScanExhaustedError from the four lengths, before any input
+    is iterated or validated (a range stays a range; other iterables become
+    tuples).
     """
     fam = _FAMILIES[family]
-    recs, primes = tuple(recs), [Prime(p) for p in primes]
-    a_values, b_values = tuple(a_values), tuple(b_values)
-    if not (recs and primes and a_values and b_values):
+    recs, primes, a_values, b_values = (
+        v if isinstance(v, range) else tuple(v) for v in (recs, primes, a_values, b_values))
+    if (cells := len(recs) * len(primes) * len(a_values) * len(b_values)) > _CELL_BUDGET:
+        raise ScanExhaustedError(f"{cells} cells exceed the sweep budget of {_CELL_BUDGET}")
+    primes = [Prime(p) for p in primes]
+    if not cells:
         return AgreementReport(fam.theorem, reading, digit_bound, ())
     # AffineIndexMap's error for the first cell, in sweep order, that it
     # refuses: it checks the stride first

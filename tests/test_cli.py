@@ -311,10 +311,16 @@ def test_enumerate_b_general(capsys):
 
 def test_enumerate_b_exits_2_past_its_offset_budget(capsys, monkeypatch):
     # F mod 7 has 16 offsets; the budget is checked before any offset is swept
-    monkeypatch.setattr(lucaslp.lp, "_OFFSET_BUDGET", 10)
+    monkeypatch.setattr(lucaslp.lp, "_CELL_BUDGET", 10)
     assert run(capsys, "enumerate-b", "--a", "1", "--prime", "7") == (
-        2, "", "error: 0,1,1,1 mod 7: preperiod + period 16 > limit 10\n"
+        2, "", "error: 16 cells exceed the sweep budget of 10\n"
     )
+
+
+def test_crossval_exits_2_past_its_sweep_budget(capsys):
+    # 25 primes x 100 strides x 101 offsets x 5 recurrences, refused unswept
+    argv = ("crossval", "--theorem", "3", "--prime-bound", "100", "--a-max", "100", "--b-max", "100")
+    assert run(capsys, *argv) == (2, "", "error: 1262500 cells exceed the sweep budget of 262144\n")
 
 
 def test_enumerate_b_plain_has_prediction_column(capsys):

@@ -496,6 +496,47 @@ def test_zero_checks_equal_full_length_reads(case, digit_bound, scan):
     assert lemma1_check(spec, p, scan) is want
 
 
+def seeded_order_specs(seed, count):
+    """Affine specs (two fifths of them with p | v) and power specs at p <= 13,
+    with S = 1, 0, 0, ... both ways."""
+    rng = random.Random(seed)
+    cases = [(PowerSequence(0), 5), (general_affine(LinearRecurrence(1, 0, 4, 0), 1, 0), 7)]
+    for _ in range(count):
+        p = rng.choice(SMALL_PRIMES)
+        if rng.random() < 0.7:
+            a0, a1, u = (rng.randint(-6, 6) for _ in range(3))
+            v = p * rng.randint(-2, 2) if rng.random() < 0.4 else rng.randint(-6, 6)
+            rec = LinearRecurrence(a0, a1, u, v)
+            cases.append((general_affine(rec, rng.randint(1, 12), rng.randint(0, 12)), p))
+        else:
+            cases.append((PowerSequence(rng.choice([0, p, rng.randint(-9, 9)])), p))
+    return cases
+
+
+def test_zero_and_geometric_checks_read_k_plus_one_terms_at_most(monkeypatch):
+    # an order-k spec satisfies its recurrence from n = 0 on: k zeros force
+    # all zeros, and S(n) = S(1)**n for n <= k forces it for every n
+    cases = [(spec, p, digit_bound, n_bound)
+             for spec, p in seeded_order_specs(30, 300)
+             for digit_bound, n_bound in ((1, 1), (2, 2), (3, 3), (2, 60))]
+    want = [(not any(spec.residues(p, p**digit_bound)),
+             lemma2_list_reference(spec, p, n_bound)) for spec, p, digit_bound, n_bound in cases]
+    assert set(want) == {(True, False), (False, True), (False, False)}  # zeros are not geometric
+    counts = []
+    inner = lp_module.SequenceSpec.iter_residues
+
+    def spy(self, p, count):
+        counts.append((self._order, count))
+        return inner(self, p, count)
+
+    monkeypatch.setattr(lp_module.SequenceSpec, "iter_residues", spy)
+    got = [(sequence_is_zero_mod(spec, p, digit_bound), lemma2_check(spec, p, n_bound))
+           for spec, p, digit_bound, n_bound in cases]
+    assert got == want
+    assert all(count <= order + 1 for order, count in counts)
+    assert max(count for _, count in counts) == 3
+
+
 # ---------------------------------------------------------------------------
 # lemma checks and closed forms
 
@@ -728,16 +769,17 @@ def test_enumerate_valid_b_general():
 
 def test_enumerate_valid_b_refuses_offsets_past_its_budget(monkeypatch):
     # F mod 7 has preperiod 0 and period 16: 16 offsets fit a budget of 16
-    monkeypatch.setattr(lp_module, "_OFFSET_BUDGET", 16)
+    monkeypatch.setattr(lp_module, "_CELL_BUDGET", 16)
     assert enumerate_valid_b("fib", 1, 7).modulus == 16
 
     def refuse(*args, **kwargs):
         raise AssertionError("no offset may be swept past the budget")
 
-    monkeypatch.setattr(lp_module, "_sweep", refuse)
+    monkeypatch.setattr(lp_module, "_certificate", refuse)
+    monkeypatch.setattr(lp_module, "_offset_states", refuse)
     for budget in (15, 10):
-        monkeypatch.setattr(lp_module, "_OFFSET_BUDGET", budget)
-        message = f"0,1,1,1 mod 7: preperiod \\+ period 16 > limit {budget}"
+        monkeypatch.setattr(lp_module, "_CELL_BUDGET", budget)
+        message = f"^16 cells exceed the sweep budget of {budget}$"
         with pytest.raises(ScanExhaustedError, match=message):
             enumerate_valid_b("fib", 1, 7)
 
@@ -762,6 +804,57 @@ def test_stream_scan_refuses_terms_past_its_budget(monkeypatch):
     # specs with an order read their certificate, not a stream of p^digits terms
     assert lp_bruteforce(PowerSequence(3), 7, 4).holds
     assert lp_bruteforce(fib_affine(8, 1), 7, 4).holds
+
+
+def test_sweep_refuses_a_grid_past_its_budget_before_reading_it(monkeypatch):
+    # 2 x 2 x 3 = 12 cells each, from ranges, tuples, a list and an iterator
+    grids = [
+        lambda: crossval_theorem1((5, 7), range(1, 3), range(3)),
+        lambda: crossval_theorem2([5, 7], (1, 2), iter(range(3)), AS_STATED),
+        lambda: crossval_theorem3((FIBONACCI, PELL), iter((5,)), (1, 2), range(3)),
+    ]
+    monkeypatch.setattr(lp_module, "_CELL_BUDGET", 12)
+    assert [len(sweep().cells) for sweep in grids] == [12, 12, 12]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be read past the budget")
+
+    for name in ("_offset_states", "_certificate", "AffineIndexMap"):
+        monkeypatch.setattr(lp_module, name, refuse)
+    monkeypatch.setattr(lp_module, "_CELL_BUDGET", 11)
+    for sweep in grids:
+        with pytest.raises(ScanExhaustedError, match="^12 cells exceed the sweep budget of 11$"):
+            sweep()
+
+
+def test_sweep_refuses_a_huge_grid_at_once():
+    # the grid is counted from the ranges' lengths, so neither is iterated,
+    # nor is the non-prime 4 validated
+    start = time.perf_counter()
+    with pytest.raises(ScanExhaustedError,
+                       match=f"^{2 * (10**18 - 10**9)} cells exceed the sweep budget of 262144$"):
+        crossval_theorem1((5, 4), range(1, 10**9), range(10**9))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_huge_digit_bounds_answer_as_digit_bound_3():
+    # the certificate reads at most 3 rows, so p**(digits - 1) is never built
+    spec = fib_affine(8, 1)
+    want = lp_bruteforce(spec, 1000003, 3)
+    assert not want.holds
+    start = time.perf_counter()
+    got = lp_bruteforce(spec, 1000003, 10**7)
+    assert time.perf_counter() - start < 1.0
+    assert got == want._replace(digit_bound=10**7)
+    report = crossval_theorem1((2, 5, 7), range(1, 9), range(6), digit_bound=10**7)
+    assert report.cells == crossval_theorem1((2, 5, 7), range(1, 9), range(6)).cells
+    # a stream is refused before p**digits is formed, with the same message
+    for spec in (AperySequence(), OmegaSequence(), TableSequence((1,) * 49)):
+        start = time.perf_counter()
+        with pytest.raises(ScanExhaustedError,
+                           match="^5\\^10000000 terms exceed the stream scan budget of 131072$"):
+            lp_bruteforce(spec, 5, 10**7)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_stream_budget_admits_the_largest_documented_scan():
