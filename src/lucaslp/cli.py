@@ -18,7 +18,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .modmath import Prime, primes_upto
+from .modmath import Prime, _iter_primes
 from .sequences import FIBONACCI, LinearRecurrence, alpha, period_mod
 from .identities import (
     catalan_residual,
@@ -39,6 +39,7 @@ from .lp import (
     TableSequence,
     THEOREM3_DEFAULT_RECS,
     _FAMILIES,
+    _TERM_BUDGET,
     _clauses,
     _holds,
     corollary1_counterexample,
@@ -391,21 +392,26 @@ def _cmd_period(args):
     return Report("period", inputs, [row]), 0
 
 
-def _sweep_residuals(pairs, residual):
-    cells = 0
-    nonzero = 0
-    max_abs = 0
+# cells an identity sweep reads at most: `identity --which catalan --n-max
+# 1000` has 501,501 and takes about 6.5 s (2 CPUs, Python 3.11.7)
+_IDENTITY_BUDGET = 1 << 19
+
+
+def _sweep_residuals(cells, residual, label):
+    """Residual statistics over `cells`, argument tuples of `residual` read one
+    at a time; only the first nonzero cell is named, as label.format(*args)."""
+    count = nonzero = max_abs = 0
     first = None
-    for label, value_args in pairs:
-        res = residual(*value_args)
-        cells += 1
+    for args in cells:
+        res = residual(*args)
+        count += 1
         if res != 0:
             nonzero += 1
             max_abs = max(max_abs, abs(res))
             if first is None:
-                first = label
+                first = label.format(*args)
     return {
-        "cells": cells,
+        "cells": count,
         "nonzero": nonzero,
         "max_abs_residual": max_abs,
         "first_nonzero": first,
@@ -421,29 +427,25 @@ def _cmd_identity(args):
     recs = _recurrences(
         args, which in ("general", "shift"), "general and shift identities", many=True
     )
-    if which in ("catalan", "lucas-catalan"):
+    catalan = which in ("catalan", "lucas-catalan")
+    # counted before any residual: r <= n <= n_max, or 1 <= r <= n per recurrence
+    count = (n_max + 1) * (n_max + 2) // 2 if catalan else len(recs) * n_max * (n_max + 1) // 2
+    if count > _IDENTITY_BUDGET:
+        raise ValueError(f"{count} cells exceed the identity budget of {_IDENTITY_BUDGET}")
+    if catalan:
         residual = catalan_residual if which == "catalan" else lucas_catalan_residual
-        pairs = (
-            (f"n={n},r={r}", (n, r)) for n in range(n_max + 1) for r in range(n + 1)
-        )
-        rows = [{"identity": which, "n_max": n_max, **_sweep_residuals(pairs, residual)}]
+        cells = ((n, r) for n in range(n_max + 1) for r in range(n + 1))
+        rows = [{"identity": which, "n_max": n_max,
+                 **_sweep_residuals(cells, residual, "n={},r={}")}]
     else:
         rows = []
         for rec in recs:
             if which == "general":
-                pairs = (
-                    (f"n={n},r={r}", (rec, n, r))
-                    for n in range(1, n_max + 1)
-                    for r in range(1, n + 1)
-                )
-                stats = _sweep_residuals(pairs, general_catalan_residual)
+                cells = ((rec, n, r) for n in range(1, n_max + 1) for r in range(1, n + 1))
+                stats = _sweep_residuals(cells, general_catalan_residual, "n={1},r={2}")
             else:
-                pairs = (
-                    (f"n+r={m},k={k}", (rec, m, 0, k))
-                    for m in range(1, n_max + 1)
-                    for k in range(m)
-                )
-                stats = _sweep_residuals(pairs, shift_identity_residual)
+                cells = ((rec, m, 0, k) for m in range(1, n_max + 1) for k in range(m))
+                stats = _sweep_residuals(cells, shift_identity_residual, "n+r={1},k={3}")
             rows.append({"identity": which, "rec": rec.as_string(), "n_max": n_max, **stats})
     total_nonzero = sum(r["nonzero"] for r in rows)
     inputs = {"which": which, "n_max": n_max}
@@ -454,6 +456,9 @@ def _cmd_special(args):
     if args.n_max < 0:
         raise ValueError(f"--n must be >= 0, got {args.n_max}")
     indices = range(args.n_max + 1)
+    if len(indices) > _TERM_BUDGET:
+        raise ValueError(
+            f"{len(indices)} terms exceed the stream scan budget of {_TERM_BUDGET}")
     inputs = {"seq": args.seq, "n_max": args.n_max}
     if args.prime is None:
         # one exact stream: each value is one step of the recurrence or convolution
@@ -485,8 +490,7 @@ def _cmd_crossval(args):
     fam, recs, reading = _affine(
         args, _BY_THEOREM[args.theorem], "--theorem {theorem}", many=True
     )
-    primes = primes_upto(args.prime_max)
-    if not primes:
+    if args.prime_max < 2:
         raise ValueError(f"no primes <= {args.prime_max}")
     inputs = {
         "theorem": fam.theorem,
@@ -500,7 +504,8 @@ def _cmd_crossval(args):
     with_rec = fam.rec is None
     if with_rec:
         inputs["recs"] = [r.as_string() for r in recs]
-    grid = primes, range(1, args.a_max + 1), range(args.b_max + 1)
+    # the primes are read lazily, so the sweep stops reading them at its budget
+    grid = _iter_primes(args.prime_max), range(1, args.a_max + 1), range(args.b_max + 1)
     # each entry point by its module-level name at call time, so one rebound
     # on this module (as a tracer does) is the one that runs
     sweep = (crossval_theorem1(*grid, args.digits) if fam.theorem == 1 else

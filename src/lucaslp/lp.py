@@ -33,16 +33,15 @@ one rule, `_holds`, decides. A single in-process sweep drives the three
 crossval entry points, which the CLI calls by name, and the valid-offset
 enumeration. It alone bounds their size: it counts a grid's cells from
 the lengths of its inputs and refuses more than _CELL_BUDGET before it
-reads any of them. S satisfies x^2 - tr(M^a)*x + det(M^a) mod p from
-n = 0 on, so the key (p, S(0), S(1), tr M^a, det M^a) mod p fixes every
-residue of S.
-Each distinct stride M^a mod p makes one row over the offsets: one
-certificate call for the starts A(b), A(b+1) of its new keys, and both
-clauses, as s(a-1) is the bottom-left entry of M^a. Each a of that stride
-builds its GridCells in C.
+validates any of them, and reads an unsized prime source only that far.
+Each distinct stride M^a mod p makes one row over the offsets, the sweep's
+only cache: one certificate call, which reads each distinct start
+A(b), A(b+1) once, and both clauses, as s(a-1) is the bottom-left entry
+of M^a. Each a of that stride builds its GridCells in C.
 
 A sequence that vanishes identically mod p satisfies the congruence
-vacuously; by the same recurrence it does so exactly when S(0) = S(1) = 0.
+vacuously; as S satisfies a recurrence of order 2, it does so exactly
+when S(0) = S(1) = 0.
 Those cells say nothing about the criteria, so sweeps flag them and keep
 them out of both the disagreement count and the valid-b sets.
 """
@@ -53,7 +52,7 @@ from functools import partial
 from itertools import islice, repeat
 from typing import NamedTuple
 
-from .modmath import Prime, digits_base_p, is_prime
+from .modmath import Prime, _iter_primes, digits_base_p
 from .sequences import (
     FIBONACCI,
     LUCAS_NUMBERS,
@@ -368,8 +367,8 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     pi = int(p)
     rows = _rows(pi, digit_bound)
     if spec._order:
-        stride, *start = spec._stride_state(p)
-        (witness,) = _certificate(p, stride, [start], spec._order, rows)
+        stride, x0, y0 = spec._stride_state(p)
+        (witness,) = _certificate(p, stride, [(x0, y0)], spec._order, rows)
         return LPVerdict(witness is None, p, digit_bound, witness)
     if rows * pi > _TERM_BUDGET:
         # p^digits is not spelled out: it may have more digits than str() converts
@@ -406,7 +405,8 @@ def _rows(p: int, digit_bound: int) -> int:
 def _certificate(p: Prime, stride, starts, order: int, rows: int) -> list:
     """The oracle's certificate for S of recurrence order k = `order`, per
     start (x0, y0): the first violation among rows 1 <= m < min(rows, k + 1)
-    and states j < min(p, k), as a Counterexample, or None.
+    and states j < min(p, k), as a Counterexample, or None. Each distinct
+    start is read once, and starts that repeat share its verdict.
 
     S(n) = x_n for the state (y_n, x_n) = stride**n (y0, x0), stride = M**a
     mod p. The state at p*m + j is stride**(p*m) times the one at j, so
@@ -436,7 +436,8 @@ def _certificate(p: Prime, stride, starts, order: int, rows: int) -> list:
                     return Counterexample(p * m + j, lhs, (j, *digits), rhs)
                 x, y = (m2 * y + m3 * x) % p, (m0 * y + m1 * x) % p
         return None
-    return [first_violation(x0, y0) for x0, y0 in starts]
+    verdicts = {start: first_violation(*start) for start in dict.fromkeys(starts)}
+    return list(map(verdicts.__getitem__, starts))
 
 
 def sequence_is_zero_mod(spec: SequenceSpec, p, digit_bound: int = 3) -> bool:
@@ -611,7 +612,7 @@ class BEnumeration(NamedTuple):
 
 
 # cells a sweep holds at most: enumerate-b's 262,048 offsets at p = 131023
-# peak at 190 MB
+# peak at 169 MB (2 CPUs, Python 3.11.7)
 _CELL_BUDGET = 1 << 18
 # terms a table, Apery or omega stream is read for at most. Exact Apery terms
 # grow, so its 41^3 = 68,921 take 13 s (2 CPUs, Python 3.11.7)
@@ -680,10 +681,10 @@ def corollary1_counterexample(
     spec = AffineSequence(_FAMILIES[family].rec, index_map, _FAMILIES[family].variant)
     # lazily: the first failing prime is small, and a list up to a large
     # bound (primes_upto) costs seconds before the first scan
-    for q in filter(is_prime, range(2, prime_bound + 1)):
+    for q in _iter_primes(prime_bound):
         verdict = lp_bruteforce(spec, q, digit_bound)
         if not verdict.holds:
-            return Prime(q), verdict
+            return q, verdict
     raise NotFoundWithinBoundError(
         f"no failing prime <= {prime_bound} for a={index_map.a}, b={index_map.b}"
     )
@@ -750,29 +751,36 @@ def _offset_states(rec: LinearRecurrence, b_values, p: Prime):
 def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
     """Criterion and oracle over every (rec, prime, a, b), in that nesting order.
 
-    S(n) = A(a*n + b) satisfies x^2 - tr(M^a)*x + det(M^a) mod p from n = 0
-    on, M the companion matrix of A (see `lp_bruteforce`), so the key
-    (p, S(0), S(1), tr M^a, det M^a) mod p fixes every residue the oracle
-    reads: cells with equal keys share one certificate, whatever their
-    recurrence. Each (rec, p) makes one row per distinct stride M^a mod p, the
-    matrix and not a mod a period: one `_certificate` call for the starts
-    (A(b), A(b+1)) of its new keys, then per offset the criterion, verdict,
-    zero flag and witness, which each a of that stride reads into GridCells
-    built in C. S is identically zero exactly when S(0) = S(1) = 0, S(1) =
-    A(a + b) being the bottom row of M^a times (A(b+1), A(b)). `_holds`
-    decides the clauses from that state: s(a-1) is M^a's bottom-left entry,
-    the seed S(0), or F(b) as theorem 2 is stated.
+    Each (rec, p) makes one row per distinct stride M^a mod p, the matrix
+    and not a mod a period, its only cache: one `_certificate` call for the
+    starts (A(b), A(b+1)) of every offset, which reads each distinct start
+    once, then per offset the criterion, verdict, zero flag and witness,
+    which each a of that stride reads into GridCells built in C. S satisfies
+    x^2 - tr(M^a)*x + det(M^a) mod p from n = 0 on, M the companion matrix
+    of A (see `lp_bruteforce`), so S is identically zero exactly when
+    S(0) = S(1) = 0, S(1) = A(a + b) being the bottom row of M^a times
+    (A(b+1), A(b)). `_holds` decides the clauses from that state: s(a-1) is
+    M^a's bottom-left entry, the seed S(0), or F(b) as theorem 2 is stated.
 
     The sweep is the one place that bounds a grid: more than _CELL_BUDGET
     cells raise ScanExhaustedError from the four lengths, before any input
-    is iterated or validated (a range stays a range; other iterables become
-    tuples).
+    is validated (a range stays a range; other sized iterables become
+    tuples). A prime source without a length, such as the CLI's generator,
+    is read only until the grid passes the budget, and the error then gives
+    the cells counted so far as a lower bound.
     """
     fam = _FAMILIES[family]
-    recs, primes, a_values, b_values = (
-        v if isinstance(v, range) else tuple(v) for v in (recs, primes, a_values, b_values))
-    if (cells := len(recs) * len(primes) * len(a_values) * len(b_values)) > _CELL_BUDGET:
-        raise ScanExhaustedError(f"{cells} cells exceed the sweep budget of {_CELL_BUDGET}")
+    recs, a_values, b_values = (
+        v if isinstance(v, range) else tuple(v) for v in (recs, a_values, b_values))
+    per_prime = len(recs) * len(a_values) * len(b_values)
+    # an unsized prime source is read only until the grid passes the budget
+    at_least = "" if hasattr(primes, "__len__") else "at least "
+    if at_least:
+        primes = islice(primes, _CELL_BUDGET // per_prime + 1 if per_prime else 0)
+    primes = primes if isinstance(primes, range) else tuple(primes)
+    if (cells := per_prime * len(primes)) > _CELL_BUDGET:
+        raise ScanExhaustedError(
+            f"{at_least}{cells} cells exceed the sweep budget of {_CELL_BUDGET}")
     primes = [Prime(p) for p in primes]
     if not cells:
         return AgreementReport(fam.theorem, reading, digit_bound, ())
@@ -781,7 +789,6 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
     first_bad_b = next((b for b in b_values if b < 0), 0)
     for a in a_values:
         AffineIndexMap(a, first_bad_b)
-    scans = {}
     cells = []
     for rec in recs:
         cell_rec = rec if fam.rec is None else None  # only general names it per cell
@@ -794,17 +801,13 @@ def _sweep(family, recs, primes, a_values, b_values, digit_bound, reading=None):
                      if reading == AS_STATED else [s0 for s0, _ in starts])
             by_stride = {}
             for a in a_values:
-                stride = m0, m1, m2, m3 = _mat_pow((rec.u, rec.v, 1, 0), a, pi)
+                stride = _mat_pow((rec.u, rec.v, 1, 0), a, pi)
                 if stride not in by_stride:
-                    trace, det = (m0 + m3) % pi, (m0 * m3 - m1 * m2) % pi
-                    keys = [(pi, s0, (m2 * y + m3 * s0) % pi, trace, det) for s0, y in starts]
-                    if new := {key: start for key, start in zip(keys, starts) if key not in scans}:
-                        scans.update(zip(new, _certificate(p, stride, new.values(), 2, rows)))
-                    witness = list(map(scans.__getitem__, keys))
+                    m2 = stride[2]  # s(a-1), and S(1) = s(a-1)*A(b+1) where S(0) = A(b) = 0
+                    witness = _certificate(p, stride, starts, 2, rows)
                     by_stride[stride] = (list(map(_holds, repeat(c * m2 % pi), seeds)),
                                          [w is None for w in witness],
-                                         [key[1] == key[2] == 0 for key in keys], witness)
-                    del new, keys  # one entry per offset each: free them before the cells grow
+                                         [s0 == m2 * y % pi == 0 for s0, y in starts], witness)
                 predicted, holds, zero, witness = by_stride[stride]
                 # tuple.__new__ builds each GridCell in C, from zip's reused tuple
                 cells += map(partial(tuple.__new__, GridCell), zip(

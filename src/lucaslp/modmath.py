@@ -60,7 +60,12 @@ def is_prime(n: int) -> bool:
 
 def primes_upto(bound: int) -> list["Prime"]:
     """All primes p with 2 <= p <= bound, ascending, each tested once."""
-    return [int.__new__(Prime, n) for n in range(2, bound + 1) if is_prime(n)]
+    return list(_iter_primes(bound))
+
+
+def _iter_primes(bound: int):
+    """The primes of `primes_upto`, each tested only when it is read."""
+    return (int.__new__(Prime, n) for n in range(2, bound + 1) if is_prime(n))
 
 
 class Prime(int):

@@ -318,9 +318,18 @@ def test_enumerate_b_exits_2_past_its_offset_budget(capsys, monkeypatch):
 
 
 def test_crossval_exits_2_past_its_sweep_budget(capsys):
-    # 25 primes x 100 strides x 101 offsets x 5 recurrences, refused unswept
+    # 100 strides x 101 offsets x 5 recurrences per prime, refused unswept: the
+    # primes are read only until the grid passes the budget, at the sixth
     argv = ("crossval", "--theorem", "3", "--prime-bound", "100", "--a-max", "100", "--b-max", "100")
-    assert run(capsys, *argv) == (2, "", "error: 1262500 cells exceed the sweep budget of 262144\n")
+    assert run(capsys, *argv) == (
+        2, "", "error: at least 303000 cells exceed the sweep budget of 262144\n")
+    # so a bound whose primes would take hours to list is refused at once
+    start = time.perf_counter()
+    argv = ("crossval", "--theorem", "1", "--prime-bound", str(10**12), "--a-max", "40",
+            "--b-max", "40")
+    assert run(capsys, *argv) == (
+        2, "", "error: at least 262400 cells exceed the sweep budget of 262144\n")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_enumerate_b_plain_has_prediction_column(capsys):
@@ -392,7 +401,7 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
 
     for callee, argv in (
         ("enumerate_valid_b", ("enumerate-b", "--a", "1", "--prime", "5")),
-        ("primes_upto", ("crossval", "--theorem", "1")),
+        ("_iter_primes", ("crossval", "--theorem", "1")),
     ):
         monkeypatch.setattr(cli, callee, exhausted)
         code, out, err = run(capsys, *argv)
@@ -453,6 +462,43 @@ def test_identity_sweep_builds_no_cell_list(capsys):
     assert code == 0
     assert json.loads(capsys.readouterr().out)["verdicts"][0]["cells"] == 301 * 302 // 2
     assert peak < 2_000_000
+
+
+def test_identity_refuses_cells_past_its_budget_before_any_residual(capsys, monkeypatch):
+    def cheap(*args):
+        return 0
+
+    for name in ("catalan_residual", "shift_identity_residual"):
+        monkeypatch.setattr(cli, name, cheap)
+    # (n_max + 1)(n_max + 2)/2 Catalan cells, n_max(n_max + 1)/2 shift cells per
+    # recurrence: the budget of 2^19 admits --n-max 1022 and 723 (two recurrences)
+    shift = ("--which", "shift", "--rec", "1,1,1,1", "--rec", "2,1,3,2", "--n-max")
+    for argv, cells in ((("--which", "catalan", "--n-max", "1022"), 523776),
+                        ((*shift, "723"), 261726)):
+        code, report = run_json(capsys, "identity", *argv)
+        assert code == 0 and report["verdicts"][-1]["cells"] == cells
+
+    def refuse(*args):
+        raise AssertionError("no residual may be computed past the budget")
+
+    for name in ("catalan_residual", "general_catalan_residual", "shift_identity_residual"):
+        monkeypatch.setattr(cli, name, refuse)
+    for argv, cells in ((("--which", "catalan", "--n-max", "1023"), 524800),
+                        ((*shift, "724"), 524900),
+                        (("--which", "general", "--n-max", "458"), 525555),  # 5 default recs
+                        (("--which", "catalan", "--n-max", "3000"), 4504501)):
+        assert run(capsys, "identity", *argv) == (
+            2, "", f"error: {cells} cells exceed the identity budget of 524288\n")
+
+
+def test_identity_names_the_first_nonzero_shift_cell(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "shift_identity_residual",
+                        lambda rec, m, r, k: 2 if (m, k) in ((3, 1), (4, 0)) else 0)
+    code, report = run_json(capsys, "identity", "--which", "shift", "--n-max", "5",
+                            "--rec", "2,1,3,2")
+    assert code == 1
+    row = report["verdicts"][0]
+    assert (row["cells"], row["nonzero"], row["first_nonzero"]) == (15, 2, "n+r=3,k=1")
 
 
 def test_identity_rejects_rec_for_fixed_families(capsys):
@@ -558,6 +604,24 @@ def test_special_names_the_first_row_past_the_limit(capsys, monkeypatch, seq):
     )
     assert len(read) == first_too_long + 1
     assert len(str(read[-2])) <= 640
+
+
+def test_special_refuses_more_terms_than_the_stream_budget(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no value may be read past the budget")
+
+    for name in ("_apery_terms", "_omega_terms", "_omega_residues", "apery_mod"):
+        monkeypatch.setattr(cli, name, refuse)
+    for n in ("131072", "2000000"):
+        for argv in (("--seq", "apery"), ("--seq", "omega", "--prime", "31")):
+            assert run(capsys, "special", *argv, "--n", n) == (
+                2, "", f"error: {int(n) + 1} terms exceed the stream scan budget of 131072\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_TERM_BUDGET", 10)
+    code, report = run_json(capsys, "special", "--seq", "omega", "--n", "9", "--prime", "31")
+    assert code == 0 and len(report["verdicts"]) == 10
+    assert run(capsys, "special", "--seq", "omega", "--n", "10", "--prime", "31") == (
+        2, "", "error: 11 terms exceed the stream scan budget of 10\n")
 
 
 def test_special_rejects_a_negative_n(capsys):

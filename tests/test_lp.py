@@ -9,13 +9,14 @@ that route so every verdict can be re-derived inside the tests.
 import random
 import time
 import tracemalloc
+from collections import Counter
 from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lucaslp.modmath import Prime, digits_base_p, primes_upto
+from lucaslp.modmath import Prime, digits_base_p, is_prime, primes_upto
 import lucaslp.lp as lp_module
 import lucaslp.modmath as modmath_module
 import lucaslp.sequences as sequences_module
@@ -822,9 +823,39 @@ def test_sweep_refuses_a_grid_past_its_budget_before_reading_it(monkeypatch):
     for name in ("_offset_states", "_certificate", "AffineIndexMap"):
         monkeypatch.setattr(lp_module, name, refuse)
     monkeypatch.setattr(lp_module, "_CELL_BUDGET", 11)
-    for sweep in grids:
-        with pytest.raises(ScanExhaustedError, match="^12 cells exceed the sweep budget of 11$"):
+    # the third grid's primes come from an iterator, which has no length: it
+    # is read until the grid passes the budget, so its count is a lower bound
+    for sweep, cells in zip(grids, ("12", "12", "at least 12")):
+        with pytest.raises(ScanExhaustedError, match=f"^{cells} cells exceed the sweep budget of 11$"):
             sweep()
+
+
+def test_sweep_reads_an_unsized_prime_source_only_past_the_budget():
+    read = []
+
+    def primes():
+        # every prime below 10^12, more than any sweep may read
+        for q in range(2, 10**12):
+            if is_prime(q):
+                read.append(q)
+                yield q
+
+    # 40 x 41 cells per prime: 160 primes pass the budget of 262144, and the
+    # sweep stops there
+    start = time.perf_counter()
+    with pytest.raises(ScanExhaustedError,
+                       match="^at least 262400 cells exceed the sweep budget of 262144$"):
+        crossval_theorem1(primes(), range(1, 41), range(41))
+    assert len(read) == 160 and time.perf_counter() - start < 1.0
+    # inside the budget the source is read to its end, and sweeps as a tuple does
+    read.clear()
+    report = crossval_theorem3((FIBONACCI, PELL), islice(primes(), 4), range(1, 9), range(6))
+    assert read == [2, 3, 5, 7]
+    assert report == crossval_theorem3((FIBONACCI, PELL), (2, 3, 5, 7), range(1, 9), range(6))
+    # a grid with no cells per prime reads none
+    read.clear()
+    assert crossval_theorem2(primes(), range(1, 9), ()).cells == ()
+    assert read == []
 
 
 def test_sweep_refuses_a_huge_grid_at_once():
@@ -1066,13 +1097,6 @@ def mat_pow_reference(u, v, a, p):
     return m
 
 
-def sweep_key(rec, p, a, b):
-    """(p, S(0), S(1), tr M^a, det M^a) for S(n) = A(a*n + b), from exact terms."""
-    m = mat_pow_reference(rec.u, rec.v, a, p)
-    det = (-rec.v) ** a % p
-    return p, rec_term(rec, b) % p, rec_term(rec, a + b) % p, (m[0] + m[3]) % p, det
-
-
 def test_certificate_over_every_key_of_small_primes():
     # an observation of this repository (ROADMAP item 1), not a result of the
     # paper: S(n + 1) = tr*S(n) - det*S(n - 1) has the property mod p iff
@@ -1097,35 +1121,59 @@ def test_prime_moduli_are_not_rechecked(monkeypatch):
     assert calls == []
 
 
-def test_sweep_scans_once_per_distinct_key(monkeypatch):
-    # 0,8,8,1 equals Fibonacci mod 7, so the two share every key at p = 7
+def test_certificate_reads_each_distinct_start_once():
+    reads = Counter()
+
+    class Start(tuple):
+        # a start (x0, y0) that counts each time it is unpacked
+        __slots__ = ()
+
+        def __iter__(self):
+            reads[self] += 1
+            return tuple.__iter__(self)
+
+    rng = random.Random(31)
+    for p, order in [(2, 2), (5, 2), (7, 2), (211, 2), (7, 1), (211, 1)]:
+        rows = lp_module._rows(p, 3)
+        for _ in range(20):
+            stride = ((rng.randrange(p), 0, 1, 0) if order == 1
+                      else tuple(rng.randrange(p) for _ in range(4)))
+            pool = [Start((rng.randrange(p), rng.randrange(p))) for _ in range(6)]
+            starts = [rng.choice(pool) for _ in range(40)]
+            reads.clear()
+            witnesses = lp_module._certificate(p, stride, starts, order, rows)
+            assert reads == Counter(set(starts)), (p, stride)
+            # one verdict per start, in order, each as a call on that start alone
+            assert witnesses == [
+                lp_module._certificate(p, stride, [tuple.__new__(tuple, start)], order, rows)[0]
+                for start in starts
+            ]
+
+
+def test_sweep_calls_the_certificate_once_per_distinct_stride(monkeypatch):
+    # 0,8,8,1 equals Fibonacci mod 7, so the two share every stride at p = 7
     recs = (FIBONACCI, LinearRecurrence(0, 8, 8, 1), *PREPERIOD_RECS)
-    starts, strides = [], []
+    calls = Counter()
     certificate = lp_module._certificate
 
-    def counting(p, stride, stride_starts, order, rows):
-        stride_starts = list(stride_starts)
-        starts.extend(stride_starts)
-        strides.append((p, stride))
-        return certificate(p, stride, stride_starts, order, rows)
+    def counting(p, stride, starts, order, rows):
+        calls[p, stride] += 1
+        return certificate(p, stride, starts, order, rows)
 
     monkeypatch.setattr(lp_module, "_certificate", counting)
     # the sweep hands the certificate its own state: no spec and no verdict
     for name in ("AffineSequence", "lp_bruteforce"):
         monkeypatch.setattr(lp_module, name, None)
     report = crossval_theorem3(recs, SWEEP_PRIMES, SWEEP_A, SWEEP_B)
-    keys = {sweep_key(c.rec, c.prime, c.a, c.b) for c in report.cells}
-    per_rec = {(c.rec, sweep_key(c.rec, c.prime, c.a, c.b)) for c in report.cells}
-    assert len(starts) == len(keys) < len(per_rec)
-    # one call per distinct (rec, p, M^a mod p) at most, where strides repeat
-    # on this grid, and some stride hands it several starts
+    assert len(report.cells) == len(recs) * len(SWEEP_PRIMES) * len(SWEEP_A) * len(SWEEP_B)
+    # at most one call per distinct (rec, p, M^a mod p), and strides repeat on this grid
     distinct_strides = {
         (rec, p, mat_pow_reference(rec.u, rec.v, a, p))
         for rec in recs for p in SWEEP_PRIMES for a in SWEEP_A
     }
-    assert len(strides) <= len(distinct_strides) < len(recs) * len(SWEEP_PRIMES) * len(SWEEP_A)
-    assert len(strides) < len(starts)
-    assert len(report.cells) == len(recs) * len(SWEEP_PRIMES) * len(SWEEP_A) * len(SWEEP_B)
+    assert len(distinct_strides) < len(recs) * len(SWEEP_PRIMES) * len(SWEEP_A)
+    allowed = Counter((p, stride) for _, p, stride in distinct_strides)
+    assert calls and calls <= allowed
 
 
 @pytest.mark.parametrize("family, rec, p, a_values, b_values", [
