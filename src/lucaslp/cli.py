@@ -49,7 +49,7 @@ from .lp import (
     enumerate_valid_b,
     lp_bruteforce,
 )
-from .special import _apery_terms, _omega_residues, _omega_terms, apery_mod
+from .special import _apery_digits, _apery_terms, _omega_residues, _omega_terms
 
 __all__ = ["Report", "CsvUnrepresentableError", "format_report", "run_cli"]
 
@@ -478,10 +478,14 @@ def _cmd_special(args):
         rows = _Table(("n", "value"), (indices, values))
     else:
         p = inputs["prime"] = int(args.prime)
-        # apery prints the digit-product route per index, by design; a Prime is not re-tested
-        stream = (map(apery_mod, indices, repeat(args.prime)) if args.seq == "apery"
-                  else _omega_residues(p))
-        values = list(islice(stream, len(indices)))
+        if args.seq == "apery":
+            # the digit-product route, by design: A(n) = A(n // p) A(n % p) mod p
+            digits = _apery_digits(p, min(args.n_max, p - 1))
+            values = [1]
+            for n in indices[1:]:
+                values.append(values[n // p] * digits[n % p] % p)
+        else:
+            values = list(islice(_omega_residues(p), len(indices)))
         rows = _Table(("n", "prime", "value_mod_p"), (indices, [p] * len(indices), values))
     return Report("special", inputs, rows), 0
 

@@ -1,9 +1,12 @@
-"""Exact and modular integer arithmetic: primality, digit expansions, binomials."""
+"""Exact and modular integer arithmetic: primality, digit expansions, binomials.
+
+The module keeps no state: `binomial_mod_lucas` builds its digit factorial
+tables on each call, up to the largest base-p digit of n.
+"""
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 __all__ = [
@@ -144,38 +147,22 @@ def binomial_exact(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=4)  # each pair holds at most 2p residues; keep a few primes only
-def _factorials_mod(p: int) -> tuple[list[int], list[int]]:
-    # (i! mod p, (i!)^-1 mod p) for 0 <= i < len, grown in place by
-    # _factorials_upto, so C(d, k) mod p for digits k <= d < p is
-    # fact[d] * inv_fact[k] * inv_fact[d - k]
-    return [1], [1]
+def _factorials(p: int, top: int) -> tuple[list[int], list[int]]:
+    """(i! mod p, (i!)^-1 mod p) for 0 <= i <= top < p, fresh lists each call.
 
-
-def _factorials_upto(p: int, top: int) -> tuple[list[int], list[int]]:
-    """The factorial tables of p, grown in place to cover 0..top (top < p).
-
-    Each growth at least doubles them, up to p entries, and costs one
-    modular inverse, so the tables stay near the largest digit asked for:
-    small digits at a large prime read a few entries, not p.
+    One modular inverse, of top!, gives the whole inverse table by walking
+    down: so C(d, k) mod p for digits k <= d <= top is
+    fact[d] * inv_fact[k] * inv_fact[d - k], and small digits at a large
+    prime build a few entries, not p.
     """
-    fact, inv_fact = _factorials_mod(p)
-    have = len(fact)
-    if top >= have:
-        size = min(p, max(top + 1, 2 * have))
-        head, f = [], fact[-1]
-        for i in range(have, size):
-            f = f * i % p
-            head.append(f)
-        inv = pow(f, p - 2, p)
-        tail = [0] * (size - have)
-        for i in range(size - 1, have - 1, -1):
-            tail[i - have] = inv
-            inv = inv * i % p
-        # extend only once both parts are computed, so that an interrupted
-        # growth leaves the two tables of equal length
-        fact += head
-        inv_fact += tail
+    fact = [1] * (top + 1)
+    for i in range(1, top + 1):
+        fact[i] = fact[i - 1] * i % p
+    inv_fact = [1] * (top + 1)
+    inv = pow(fact[top], p - 2, p)
+    for i in range(top, 0, -1):
+        inv_fact[i] = inv
+        inv = inv * i % p
     return fact, inv_fact
 
 
@@ -193,7 +180,7 @@ def binomial_mod_lucas(n: int, m: int, p) -> int:
     p = int(Prime(p))
     if n < 0 or m < 0:
         raise ValueError(f"binomial arguments must be >= 0, got ({n}, {m})")
-    fact, inv_fact = _factorials_upto(p, _max_digit(n, p))
+    fact, inv_fact = _factorials(p, _max_digit(n, p))
     r = 1
     while n or m:
         n, nd = divmod(n, p)

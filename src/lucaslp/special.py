@@ -1,17 +1,18 @@
 """Apery numbers and the reciprocal-Bessel coefficients, exact and mod p.
 
 Both sequences are defined through binomial sums, so their residues mod p
-come from digitwise binomials rather than from reducing huge integers.
-With n_i the base-p digits of n:
+come from tables over the digits d < p rather than from reducing huge
+integers. With n_i the base-p digits of n:
 
 - Apery: apery_mod(n, p) is the product of apery(n_i) mod p over the
   digits, the Lucas property of the Apery numbers (Gessel, J. Number
-  Theory 14, 1982). For a digit d, the sum over k of C(d, k)^2 C(d+k, k)^2
-  stops at k = min(d, p-1-d), as C(d+k, k) is 0 mod p once d+k >= p
-  (Kummer's theorem). So an index costs O(p) per digit. The oracle does
-  not read this route: AperySequence reduces `_apery_terms`, Apery's
-  recurrence stepped on exact integers, as a route that uses the property
-  would confirm it whatever the sequence does.
+  Theory 14, 1982). `_apery_digits` tabulates apery(d) mod p for d < p by
+  stepping Apery's recurrence on A(d) d!^3, which needs no division, and
+  dividing d!^3 out with one inverse-factorial table. So a call costs
+  O(largest digit), and `special --prime` reads one table for all its
+  rows. The oracle does not read this route: AperySequence reduces
+  `_apery_terms`, Apery's recurrence stepped on exact integers, as a route
+  that uses the property would confirm it whatever the sequence does.
 - omega, whose convolution term for w(m) carries C(m, k)^2: only the k with
   k_i <= m_i in every digit are summed. They are summed one digit group at
   a time: with m = p*h + m0, the terms whose k has a nonzero upper part
@@ -22,8 +23,10 @@ With n_i the base-p digits of n:
   assumes the digit-product form the oracle tests.
 
 Every digit binomial d!/(k!(d-k)!) is read from factorial and
-inverse-factorial tables mod p, which hold O(p) residues, and are built
-only up to the largest digit asked for (omega reads all p once n >= p).
+inverse-factorial tables mod p, which hold O(p) residues. Each reader
+builds its own, up to the largest digit it reads, and nothing caches
+them: `apery_mod` per call, and the omega stream grows its tables across
+its first group (all p once n >= p - 1).
 
 Every sequence comes as a stream that holds its state only while it is
 read: `_apery_terms` and `_omega_terms` exactly, `_omega_residues` mod p.
@@ -36,7 +39,7 @@ from __future__ import annotations
 from itertools import count, islice, repeat
 from operator import add, mod, mul
 
-from .modmath import Prime, _factorials_upto, _max_digit, binomial_exact
+from .modmath import Prime, _factorials, _max_digit, binomial_exact
 
 __all__ = ["omega", "omega_mod", "apery", "apery_mod"]
 
@@ -114,17 +117,19 @@ def _omega_residues(p: int):
 
     The k_h != 0 part reads w only below p*h: `_group_vector` builds it once
     per group. The k_h = 0 part is added as each w(p*h + j) is found. So
-    each index costs one dot product. The prefix table, the signed vector
-    and the group vector live in the generator, so they are freed with it;
-    across the first group they and the factorial tables grow one digit per
-    step, so a small n at a large prime reads small vectors.
+    each index costs one dot product. The prefix table, the factorial
+    tables, the signed vector and the group vector live in the generator,
+    so they are freed with it; across the first group they grow one digit
+    per step, so a small n at a large prime reads small vectors.
     """
     table, signed, group = [1], [1], [1]  # group 0 holds w(0) = 1 / 0!^2
+    fact, inv_fact = [1], [1]
     yield 1
     for m in count(1):
         h, m0 = divmod(m, p)
         if not h:
-            fact, inv_fact = _factorials_upto(p, m0)
+            fact.append(fact[-1] * m0 % p)
+            inv_fact.append(inv_fact[-1] * pow(m0, p - 2, p) % p)
             f = inv_fact[m0]
             signed.append((-f * f if m0 % 2 else f * f) % p)
             group.append(0)
@@ -177,21 +182,29 @@ def apery(n: int) -> int:
     )
 
 
+def _apery_digits(p: int, top: int) -> list[int]:
+    """apery(d) mod p for 0 <= d <= top < p, the digit values of `apery_mod`.
+
+    C(d) = A(d) d!^3 steps Apery's recurrence without its division,
+    C(n+1) = (34n^3 + 51n^2 + 27n + 5) C(n) - n^6 C(n-1), so it holds mod p;
+    d!^3 is a unit for d < p, and one inverse factorial table divides it out.
+    """
+    _, inv_fact = _factorials(p, top)
+    prev, cur, scaled = 0, 1, []  # C(-1) is multiplied by 0
+    for n in range(top + 1):
+        scaled.append(cur)
+        prev, cur = cur, ((34 * n**3 + 51 * n**2 + 27 * n + 5) * cur - n**6 * prev) % p
+    return [c * f**3 % p for c, f in zip(scaled, inv_fact)]
+
+
 def apery_mod(n: int, p) -> int:
     """Apery number mod p: the product of apery(d) mod p over the base-p digits d of n."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     p = int(Prime(p))
-    # d + min(d, p-1-d) grows with d, and the digit sums read factorials up to it
-    top = _max_digit(n, p)
-    fact, inv_fact = _factorials_upto(p, min(2 * top, p - 1))
+    digits = _apery_digits(p, _max_digit(n, p))
     value = 1
     while n:
         n, d = divmod(n, p)
-        # C(d, k) C(d+k, k) = (d+k)! / (k!^2 (d-k)!)
-        digit = sum(
-            (fact[d + k] * inv_fact[k] ** 2 * inv_fact[d - k]) ** 2
-            for k in range(min(d, p - 1 - d) + 1)
-        )
-        value = value * digit % p
+        value = value * digits[d] % p
     return value

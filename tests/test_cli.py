@@ -33,7 +33,7 @@ from lucaslp.lp import (
 )
 from lucaslp.modmath import is_prime
 from lucaslp.sequences import LinearRecurrence
-from lucaslp.special import apery
+from lucaslp.special import apery, apery_mod
 
 
 def run(capsys, *argv):
@@ -521,6 +521,32 @@ def test_special_subcommand(capsys):
     ]
 
 
+@pytest.mark.parametrize("p, n_max", [(2, 6), (7, 21), (1000003, 300)])
+def test_special_apery_prime_prints_the_digit_product(capsys, p, n_max):
+    code, report = run_json(
+        capsys, "special", "--seq", "apery", "--n", str(n_max), "--prime", str(p))
+    assert code == 0
+    assert [r["value_mod_p"] for r in report["verdicts"]] == [
+        apery_mod(n, p) for n in range(n_max + 1)]
+
+
+def test_special_apery_prime_builds_one_digit_table(capsys, monkeypatch):
+    real, calls = cli._apery_digits, []
+
+    def counted(p, top):
+        calls.append((p, top))
+        return real(p, top)
+
+    monkeypatch.setattr(cli, "_apery_digits", counted)
+    for argv, table in ((("--n", "40", "--prime", "7"), (7, 6)),
+                        (("--n", "300", "--prime", "1000003"), (1000003, 300))):
+        calls.clear()
+        code, report = run_json(capsys, "special", "--seq", "apery", *argv)
+        assert code == 0 and len(report["verdicts"]) == int(argv[1]) + 1
+        # one table for the whole command, up to the largest digit it reads
+        assert calls == [table]
+
+
 def run_special(seq, n_max):
     # a child process, so a table built from O(n) sums per row (29 s at
     # n = 1200) cannot hang the suite
@@ -610,10 +636,11 @@ def test_special_refuses_more_terms_than_the_stream_budget(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("no value may be read past the budget")
 
-    for name in ("_apery_terms", "_omega_terms", "_omega_residues", "apery_mod"):
+    for name in ("_apery_terms", "_omega_terms", "_omega_residues", "_apery_digits"):
         monkeypatch.setattr(cli, name, refuse)
     for n in ("131072", "2000000"):
-        for argv in (("--seq", "apery"), ("--seq", "omega", "--prime", "31")):
+        for argv in (("--seq", "apery"), ("--seq", "apery", "--prime", "31"),
+                     ("--seq", "omega", "--prime", "31")):
             assert run(capsys, "special", *argv, "--n", n) == (
                 2, "", f"error: {int(n) + 1} terms exceed the stream scan budget of 131072\n")
     monkeypatch.undo()

@@ -23,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucaslp.lp import AperySequence, OmegaSequence, TableSequence, lp_bruteforce
-from lucaslp.modmath import _factorials_mod, binomial_mod_lucas, primes_upto
+from lucaslp.modmath import binomial_mod_lucas, primes_upto
 from lucaslp.special import (
-    _apery_terms, _omega_residues, _omega_terms, apery, apery_mod, omega, omega_mod,
+    _apery_digits, _apery_terms, _omega_residues, _omega_terms, apery, apery_mod, omega,
+    omega_mod,
 )
 
 OMEGA_FIRST = [
@@ -182,7 +183,6 @@ def test_small_queries_at_a_large_prime_do_no_quadratic_work():
     # a p x p table of digit binomials would take minutes at this prime
     p = 100003
     for n, modular, exact in [(n, omega_mod, omega) for n in range(4)] + [(1, apery_mod, apery)]:
-        _factorials_mod.cache_clear()
         t0 = time.perf_counter()
         value = modular(n, p)
         elapsed = time.perf_counter() - t0
@@ -194,7 +194,6 @@ def test_omega_at_a_large_prime_grows_its_vectors_only_to_n():
     # p-entry factorial, signed and group vectors peaked at 145 MB RSS for
     # `special --seq omega --n 3 --prime 1000003`
     p = 1000003
-    _factorials_mod.cache_clear()
     tracemalloc.start()
     try:
         values = [omega_mod(n, p) for n in range(4)]
@@ -216,7 +215,6 @@ def test_small_digits_at_a_large_prime_build_small_factorial_tables():
     # full tables at this prime held 2p residues, 108 MB peak RSS for two
     # digit binomials; only the entries up to the largest digit are needed
     p = 1000003
-    _factorials_mod.cache_clear()
     tracemalloc.start()
     try:
         values = [apery_mod(0, p), apery_mod(1, p), binomial_mod_lucas(3 * p + 2, p + 1, p)]
@@ -225,13 +223,15 @@ def test_small_digits_at_a_large_prime_build_small_factorial_tables():
         tracemalloc.stop()
     assert values == [1, 5, comb(3, 1) * comb(2, 1) % p]
     assert peak < 100_000
-    fact, inv_fact = _factorials_mod(p)
-    assert len(fact) == len(inv_fact) < 10
-    # a larger digit grows the same tables, and they stay consistent
     assert binomial_mod_lucas(40, 17, p) == comb(40, 17) % p
     assert apery_mod(30, p) == apery(30) % p
-    assert len(fact) < 100
-    assert all(f * g % p == 1 for f, g in zip(fact, inv_fact))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
+def test_apery_digits_step_the_scaled_recurrence(p):
+    # p - 1 is the last digit whose d!^3 is a unit mod p
+    assert _apery_digits(p, p - 1) == [apery(d) % p for d in range(p)]
+    assert _apery_digits(p, 0) == [1]
 
 
 def test_apery_first_values():
