@@ -18,7 +18,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .modmath import Prime, _iter_primes
+from .modmath import Prime, _digit_products, _iter_primes
 from .sequences import FIBONACCI, LinearRecurrence, alpha, period_mod
 from .identities import (
     catalan_residual,
@@ -478,14 +478,10 @@ def _cmd_special(args):
         rows = _Table(("n", "value"), (indices, values))
     else:
         p = inputs["prime"] = int(args.prime)
-        if args.seq == "apery":
-            # the digit-product route, by design: A(n) = A(n // p) A(n % p) mod p
-            digits = _apery_digits(p, min(args.n_max, p - 1))
-            values = [1]
-            for n in indices[1:]:
-                values.append(values[n // p] * digits[n % p] % p)
-        else:
-            values = list(islice(_omega_residues(p), len(indices)))
+        # apery takes the digit-product route, by design: A(n) = A(n // p) A(n % p) mod p
+        stream = (_digit_products(_apery_digits(p, min(args.n_max, p - 1)), p)
+                  if args.seq == "apery" else _omega_residues(args.prime))
+        values = list(islice(stream, len(indices)))
         rows = _Table(("n", "prime", "value_mod_p"), (indices, [p] * len(indices), values))
     return Report("special", inputs, rows), 0
 

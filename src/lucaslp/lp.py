@@ -19,10 +19,14 @@ holding verdict holds for every n once p**(digit_bound - 1) > k; no
 criterion and no period enters. F(42n+1) mod 211 reads four states instead
 of 211**3 terms. Table, Apery and omega specs are read as one stream, of
 at most _TERM_BUDGET terms: a longer scan is refused before it starts.
-`_rows` is the one rule for how many rows m a scan reaches, and stops at a
-power of p past what either reader takes, so no scan builds p**digit_bound.
+Its digit products come from `modmath._digit_products`, the library's one
+digit-product recursion. `_rows` is the one rule for how many rows m a
+scan reaches, and stops at a power of p past what either reader takes, so
+no scan or zero check builds p**digit_bound.
 The same order bounds the zero check and lemma 2's geometric form: k terms
 decide whether S vanishes, and k + 1 whether S(n) = S(1)**n for every n.
+The Apery and omega streams stop any read at _TERM_BUDGET terms, so the
+lemma checks of specs without an order answer before it or raise there.
 
 Every affine subsequence S(n) = A(a*n + b) of a second-order recurrence is
 one `AffineSequence`. A family table holds, as data only, the theorem
@@ -49,10 +53,10 @@ them out of both the disagreement count and the valid-b sets.
 from __future__ import annotations
 
 from functools import partial
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from typing import NamedTuple
 
-from .modmath import Prime, _iter_primes, digits_base_p
+from .modmath import Prime, _digit_products, _iter_primes, digits_base_p
 from .sequences import (
     FIBONACCI,
     LUCAS_NUMBERS,
@@ -237,7 +241,7 @@ class AperySequence(SequenceSpec, NamedTuple("AperySequence", [])):
 
     def iter_residues(self, p, count):
         p = int(Prime(p))
-        return (term % p for term in islice(_apery_terms(), count))
+        return _budgeted((term % p for term in _apery_terms()), count)
 
 
 class OmegaSequence(SequenceSpec, NamedTuple("OmegaSequence", [])):
@@ -248,7 +252,16 @@ class OmegaSequence(SequenceSpec, NamedTuple("OmegaSequence", [])):
     variant = "omega"
 
     def iter_residues(self, p, count):
-        return islice(_omega_residues(int(Prime(p))), count)
+        return _budgeted(_omega_residues(Prime(p)), count)
+
+
+def _budgeted(stream, count: int):
+    """The first `count` terms of an endless stream, for any count: a read
+    that reaches _TERM_BUDGET terms short of count raises ScanExhaustedError
+    there, so every answer found sooner stands."""
+    yield from islice(stream, min(count, _TERM_BUDGET))
+    if count > _TERM_BUDGET:
+        raise ScanExhaustedError(f"the read passes the stream scan budget of {_TERM_BUDGET} terms")
 
 
 class TableSequence(
@@ -358,10 +371,11 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
     and counterexample; with p**(digit_bound - 1) > k a pass holds for all n.
 
     Table, Apery and omega specs have no order and are read as one stream
-    of every n < p**digit_bound. Their digit products are built up
-    dynamically: the product for n reuses the product for n // p, so that
-    scan is linear in the number of indices checked. A stream of more than
-    _TERM_BUDGET terms raises ScanExhaustedError before any term is read.
+    of every n < p**digit_bound. Their first p terms are the digit values,
+    and `_digit_products` builds the product of every later n from the
+    product for n // p, so that scan is linear in the number of indices
+    checked. A stream of more than _TERM_BUDGET terms raises
+    ScanExhaustedError before any term is read.
     """
     p = Prime(p)
     pi = int(p)
@@ -375,19 +389,12 @@ def lp_bruteforce(spec: SequenceSpec, p, digit_bound: int = 3) -> LPVerdict:
         raise ScanExhaustedError(
             f"{pi}^{digit_bound} terms exceed the stream scan budget of {_TERM_BUDGET}")
     it = spec.iter_residues(p, rows * pi)
-    head = list(islice(it, pi))
-    prods = head[:rows]  # digit products of m = 0, 1, ...; the scan reads m < rows
-    append = prods.append
-    n = pi
-    for lhs in it:
-        rhs = prods[n // pi] * head[n % pi] % pi
+    products = _digit_products(list(islice(it, pi)), pi)
+    for n, lhs, rhs in zip(count(pi), it, islice(products, pi, None)):
         if lhs != rhs:
             return LPVerdict(
                 False, p, digit_bound, Counterexample(n, lhs, digits_base_p(n, p).digits, rhs)
             )
-        if n < rows:
-            append(rhs)
-        n += 1
     return LPVerdict(True, p, digit_bound)
 
 
@@ -446,12 +453,14 @@ def sequence_is_zero_mod(spec: SequenceSpec, p, digit_bound: int = 3) -> bool:
     Such a sequence passes the oracle vacuously; callers use this to flag
     those passes instead of counting them as evidence. It is `lemma1_check`
     answering None on that scan, which reads a spec of recurrence order k
-    for its first k terms, as k zeros force all zeros, and never forms
-    p**digit_bound for it.
+    for its first k terms, as k zeros force all zeros. Any other spec reads
+    p**digit_bound terms, sized by `_rows` as the oracle sizes its scan:
+    p**18 at most, past the stream budget, so p**digit_bound is never formed.
     """
     if digit_bound < 1:
         raise ValueError(f"digit_bound must be >= 1, got {digit_bound}")
-    return lemma1_check(spec, p := Prime(p), spec._order or int(p) ** digit_bound) is None
+    # the rows of a scan one digit longer are the n < p**digit_bound
+    return lemma1_check(spec, p := Prime(p), spec._order or _rows(p, digit_bound + 1)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +497,9 @@ def lemma2_check(spec: SequenceSpec, p, n_bound: int) -> bool:
     satisfies its recurrence from n = 0 on, so S(n) = S(1)**n for n <= k
     makes S(1) a root of the recurrence's polynomial, so S(1)**n satisfies
     the recurrence too and, agreeing with S on its first k terms, equals S.
+    An Apery or omega stream that agrees for _TERM_BUDGET terms short of
+    n_bound raises ScanExhaustedError: Apery numbers are geometric mod 2
+    (every one is odd) and mod 3 (A(n) = 2**n), so no early exit ends it.
     """
     p = Prime(p)
     if n_bound < 1:

@@ -1,5 +1,11 @@
 """Exact and modular integer arithmetic: primality, digit expansions, binomials.
 
+The paper's two digit rules are stated here once each. `digits_base_p` is
+the library's only walk over the base-p digits of one number (the paired
+walk of Lucas's theorem over n and m in `binomial_mod_lucas` aside), and
+`_digit_products` is its only digit-product recursion, which the stream
+oracle and `special --prime` both read.
+
 The module keeps no state: `binomial_mod_lucas` builds its digit factorial
 tables on each call, up to the largest base-p digit of n.
 """
@@ -7,6 +13,7 @@ tables on each call, up to the largest base-p digit of n.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple
 
 __all__ = [
@@ -110,17 +117,36 @@ class DigitExpansion(
 
 
 def digits_base_p(n: int, p) -> DigitExpansion:
-    """Canonical base-p expansion of n >= 0."""
+    """Canonical base-p expansion of n >= 0: the one single-number digit walk
+    of the library, whose result is canonical by construction."""
     p = Prime(p)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return DigitExpansion(p, (0,))
     digs = []
-    while n:
+    while True:
         n, d = divmod(n, p)
         digs.append(d)
-    return DigitExpansion(p, tuple(digs))
+        if not n:
+            return tuple.__new__(DigitExpansion, (p, tuple(digs)))
+
+
+def _digit_products(values, p: int):
+    """Yield P(0), P(1), ...: values[n] for n < p, and P(n // p) * values[n % p]
+    mod p from there on, the digit-recursive form S(p*m + j) = S(m) * S(j)
+    (McIntosh, Amer. Math. Monthly 99, 1992). So P(n) is the product of
+    values over the base-p digits of n. It reads values only below p, holds
+    one product per index yielded, and builds the block of P(p*m + j), j < p,
+    once per distinct lead P(m): at most p blocks.
+    """
+    digits = values[:p]
+    products = list(digits)
+    yield from digits
+    scaled = {}
+    for lead in islice(products, 1, None):  # P(1), P(2), ...: products grows ahead of it
+        if lead not in scaled:
+            scaled[lead] = [lead * d % p for d in digits]
+        products += scaled[lead]
+        yield from scaled[lead]
 
 
 def pow_mod(base: int, exp: int, p) -> int:
@@ -166,26 +192,25 @@ def _factorials(p: int, top: int) -> tuple[list[int], list[int]]:
     return fact, inv_fact
 
 
-def _max_digit(n: int, p: int) -> int:
-    top = 0
-    while n:
-        n, d = divmod(n, p)
-        if d > top:
-            top = d
-    return top
-
-
 def binomial_mod_lucas(n: int, m: int, p) -> int:
-    """C(n, m) mod p as the digitwise product of base-p digit binomials."""
+    """C(n, m) mod p as the digitwise product of base-p digit binomials.
+
+    One paired walk over the digits of n and m (Lucas's theorem) answers 0 at
+    the first digit of m above n's, before any table is built; otherwise the
+    factorial tables go up to the largest digit of n it walked.
+    """
     p = int(Prime(p))
     if n < 0 or m < 0:
         raise ValueError(f"binomial arguments must be >= 0, got ({n}, {m})")
-    fact, inv_fact = _factorials(p, _max_digit(n, p))
-    r = 1
+    pairs = []
     while n or m:
         n, nd = divmod(n, p)
         m, md = divmod(m, p)
         if md > nd:
             return 0
+        pairs.append((nd, md))
+    fact, inv_fact = _factorials(p, max((nd for nd, _ in pairs), default=0))
+    r = 1
+    for nd, md in pairs:
         r = r * fact[nd] * inv_fact[md] * inv_fact[nd - md] % p
     return r

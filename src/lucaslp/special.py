@@ -9,18 +9,21 @@ integers. With n_i the base-p digits of n:
   Theory 14, 1982). `_apery_digits` tabulates apery(d) mod p for d < p by
   stepping Apery's recurrence on A(d) d!^3, which needs no division, and
   dividing d!^3 out with one inverse-factorial table. So a call costs
-  O(largest digit), and `special --prime` reads one table for all its
-  rows. The oracle does not read this route: AperySequence reduces
-  `_apery_terms`, Apery's recurrence stepped on exact integers, as a route
-  that uses the property would confirm it whatever the sequence does.
+  O(largest digit) past its walk over the digits from `digits_base_p`,
+  and `special --prime` lists `modmath._digit_products` over one table
+  for all its rows. The oracle does not read this route: AperySequence
+  reduces `_apery_terms`, Apery's recurrence stepped on exact integers, as
+  a route that uses the property would confirm it whatever the sequence
+  does.
 - omega, whose convolution term for w(m) carries C(m, k)^2: only the k with
   k_i <= m_i in every digit are summed. They are summed one digit group at
   a time: with m = p*h + m0, the terms whose k has a nonzero upper part
   k_h form one p-vector per group of p indices, built from the digit box
-  of h (prod(h_i+1) - 1 table slices), and each index adds the rest with
-  one dot product of length m0+1. This regroups the defining sum by
-  distributivity; it never forms a product of earlier terms, so it never
-  assumes the digit-product form the oracle tests.
+  of h (prod(h_i+1) - 1 table slices, its digits from `digits_base_p`),
+  and each index adds the rest with one dot product of length m0+1. This
+  regroups the defining sum by distributivity; it never forms a product of
+  earlier terms, so it never assumes the digit-product form the oracle
+  tests.
 
 Every digit binomial d!/(k!(d-k)!) is read from factorial and
 inverse-factorial tables mod p, which hold O(p) residues. Each reader
@@ -37,9 +40,10 @@ read: `_apery_terms` and `_omega_terms` exactly, `_omega_residues` mod p.
 from __future__ import annotations
 
 from itertools import count, islice, repeat
+from math import prod
 from operator import add, mod, mul
 
-from .modmath import Prime, _factorials, _max_digit, binomial_exact
+from .modmath import Prime, _factorials, binomial_exact, digits_base_p
 
 __all__ = ["omega", "omega_mod", "apery", "apery_mod"]
 
@@ -77,14 +81,14 @@ def omega(n: int) -> int:
 def _group_vector(table: list[int], h: int, p: int, fact, inv_fact) -> list[int]:
     """The k_h != 0 part of group h of `_omega_residues`, divided by j!^2:
     the sum over the digit box of h of c(k_h) * table[p*(h-k_h) + j], for
-    j = 0..p-1, mod p. It reads only table entries below p*h."""
+    j = 0..p-1, mod p. It reads only table entries below p*h, and the digits
+    of h from `digits_base_p`."""
     # one (c(k_h), p*(h - k_h)) pair per k_h whose digits k_i <= h_i, grown
     # a digit at a time with k_h = 0 first; prod(h_i + 1) <= h + 1 pairs,
     # fewer than the p*h table entries they read. (-1)^k_h is the product of
     # the (-1)^(k_i) for odd p, as every p^i is odd
     terms, place = [(1, 0)], p
-    while h:
-        h, d = divmod(h, p)
+    for d in digits_base_p(h, p).digits:
         column = []
         for k in range(d + 1):
             c = fact[d] * inv_fact[k] * inv_fact[d - k]
@@ -97,7 +101,7 @@ def _group_vector(table: list[int], h: int, p: int, fact, inv_fact) -> list[int]
     return list(map(mod, map(mul, acc, map(mul, inv_fact, inv_fact)), repeat(p)))
 
 
-def _omega_residues(p: int):
+def _omega_residues(p: Prime):
     """Yield w(0), w(1), ... mod p, from the convolution summed one digit
     group at a time.
 
@@ -120,7 +124,8 @@ def _omega_residues(p: int):
     each index costs one dot product. The prefix table, the factorial
     tables, the signed vector and the group vector live in the generator,
     so they are freed with it; across the first group they grow one digit
-    per step, so a small n at a large prime reads small vectors.
+    per step, so a small n at a large prime reads small vectors. p is a
+    Prime, so `digits_base_p` does not test it again for each group.
     """
     table, signed, group = [1], [1], [1]  # group 0 holds w(0) = 1 / 0!^2
     fact, inv_fact = [1], [1]
@@ -151,8 +156,7 @@ def omega_mod(n: int, p) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    p = int(Prime(p))
-    return next(islice(_omega_residues(p), n, None))
+    return next(islice(_omega_residues(Prime(p)), n, None))
 
 
 def _apery_terms():
@@ -201,10 +205,7 @@ def apery_mod(n: int, p) -> int:
     """Apery number mod p: the product of apery(d) mod p over the base-p digits d of n."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    p = int(Prime(p))
-    digits = _apery_digits(p, _max_digit(n, p))
-    value = 1
-    while n:
-        n, d = divmod(n, p)
-        value = value * digits[d] % p
-    return value
+    p = Prime(p)
+    digits = digits_base_p(n, p).digits
+    table = _apery_digits(p, max(digits))
+    return prod(table[d] for d in digits) % p

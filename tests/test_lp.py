@@ -474,6 +474,55 @@ def test_zero_checks_at_a_large_prime_are_fast():
         assert time.perf_counter() - start < 1.0
 
 
+def answers_within_a_second(check):
+    start = time.perf_counter()
+    answer = check()
+    assert time.perf_counter() - start < 1.0
+    return answer
+
+
+def test_zero_check_of_apery_past_islice_answers_from_s0():
+    # 5^30 terms is past what islice takes; S(0) = 1 answers it
+    assert answers_within_a_second(lambda: sequence_is_zero_mod(AperySequence(), 5, 30)) is False
+
+
+def test_zero_check_of_omega_at_a_large_prime_answers_from_s0():
+    assert answers_within_a_second(lambda: sequence_is_zero_mod(OmegaSequence(), 1009, 7)) is False
+
+
+def test_lemma1_on_a_scan_past_islice_answers_from_s0():
+    assert answers_within_a_second(lambda: lemma1_check(AperySequence(), 5, 10**20)) is True
+
+
+def test_zero_check_never_forms_p_to_the_digit_bound():
+    # 5^(10^7) alone took 6-7.5 s to form
+    assert answers_within_a_second(
+        lambda: sequence_is_zero_mod(AperySequence(), 5, 10**7)) is False
+
+
+def test_zero_check_of_a_short_table_at_a_huge_digit_bound_prints_its_error():
+    # the message once held 5^(10^7), past the int-to-str limit
+    start = time.perf_counter()
+    with pytest.raises(TableTooShortError) as caught:
+        sequence_is_zero_mod(TableSequence((0,) * 10), 5, 10**7)
+    assert time.perf_counter() - start < 1.0
+    assert str(caught.value).startswith("table holds 10 values but the scan needs ")
+
+
+def test_lemma2_stream_reads_stop_at_the_term_budget(monkeypatch):
+    # every Apery number is odd, so the geometric form holds mod 2 and a
+    # stream read would run to n_bound; omega at 5 answers False early
+    monkeypatch.setattr(lp_module, "_TERM_BUDGET", 40)
+    assert lemma2_check(AperySequence(), 2, 40)
+    for n_bound in (41, 10**30):
+        with pytest.raises(ScanExhaustedError, match="stream scan budget of 40 terms$"):
+            lemma2_check(AperySequence(), 2, n_bound)
+    assert not lemma2_check(OmegaSequence(), 5, 10**30)
+    assert not lemma2_check(AperySequence(), 5, 10**30)
+    # a table holds its terms already, and reads past the budget
+    assert lemma2_check(TableSequence((1,) * 100), 5, 100)
+
+
 @st.composite
 def recurrence_specs(draw):
     """Affine and power specs mod p <= 7, zero seeds and p | base in reach."""

@@ -1,6 +1,8 @@
 """Primality, digit expansions, and binomials against naive oracles."""
 
 import math
+import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from lucaslp.modmath import (
     DigitExpansion,
     NonInvertibleError,
     Prime,
+    _digit_products,
     binomial_exact,
     binomial_mod_lucas,
     digits_base_p,
@@ -108,6 +111,38 @@ def test_digits_examples():
     assert digits_base_p(12, 5).digits == (2, 2)
     assert digits_base_p(38, 5).digits == (3, 2, 1)
     assert digits_base_p(7, 2).digits == (1, 1, 1)
+
+
+def test_digits_equal_the_validated_expansion():
+    # digits_base_p skips DigitExpansion's checks, as its digits are
+    # canonical by construction: the validated record must equal it
+    rng = random.Random(34)
+    for p in SMALL_PRIMES + [1000003]:
+        cases = [0, 1, p - 1, p, p + 1, p * p - 1, rng.randrange(10**200, 10**201)]
+        for n in cases:
+            digits = []
+            m = n
+            while True:
+                m, d = divmod(m, p)
+                digits.append(d)
+                if not m:
+                    break
+            want = DigitExpansion(Prime(p), tuple(digits))
+            got = digits_base_p(n, p)
+            assert got == want and type(got) is DigitExpansion and got.value() == n
+    assert len(digits_base_p(rng.randrange(10**199, 10**200), 7).digits) > 200
+
+
+def test_digit_products_are_products_over_the_base_p_digits():
+    rng = random.Random(34)
+    for p in (2, 3, 5, 7):
+        # seeded residues with zeros among them, and the digit value 1 at 0
+        values = [1] + [rng.choice([0, 0, *range(p)]) for _ in range(p - 1)]
+        values[rng.randrange(1, p)] = 0
+        got = list(islice(_digit_products(values, p), p**3))
+        want = [math.prod(values[d] for d in digits_base_p(n, p).digits) % p
+                for n in range(p**3)]
+        assert got == want, p
 
 
 def test_digits_rejects_bad_input():
@@ -213,6 +248,27 @@ def test_binomial_mod_lucas_examples():
         binomial_mod_lucas(5, 2, 9)
     with pytest.raises(ValueError):
         binomial_mod_lucas(-1, 0, 5)
+
+
+def test_binomial_mod_lucas_answers_zero_before_building_a_table(monkeypatch):
+    calls = []
+    inner = modmath_module._factorials
+
+    def spy(p, top):
+        calls.append((p, top))
+        return inner(p, top)
+
+    monkeypatch.setattr(modmath_module, "_factorials", spy)
+    # a digit of m above n's: the lowest, a middle one, and m > n
+    for n, m, p in ((10, 12, 5), (1000002 * 1000003, 1000003 + 5, 1000003), (3, 4, 7),
+                    (49 + 7 + 1, 2 * 7 + 1, 7), (2**64 + 1, 2**63, 2)):
+        assert binomial_mod_lucas(n, m, p) == 0
+        if n < 1000:
+            assert (math.comb(n, m) if m <= n else 0) % p == 0
+    assert calls == []
+    # otherwise one table pair, up to the largest digit of n walked
+    assert binomial_mod_lucas(3 * 1000003 + 2, 1000003 + 1, 1000003) == 3 * 2 % 1000003
+    assert calls == [(1000003, 3)]
 
 
 def test_binomial_mod_lucas_small_grid():
