@@ -52,6 +52,7 @@ them out of both the disagreement count and the valid-b sets.
 
 from __future__ import annotations
 
+import sys
 from functools import partial
 from itertools import count, islice, repeat
 from typing import NamedTuple
@@ -454,13 +455,19 @@ def sequence_is_zero_mod(spec: SequenceSpec, p, digit_bound: int = 3) -> bool:
     those passes instead of counting them as evidence. It is `lemma1_check`
     answering None on that scan, which reads a spec of recurrence order k
     for its first k terms, as k zeros force all zeros. Any other spec reads
-    p**digit_bound terms, sized by `_rows` as the oracle sizes its scan:
-    p**18 at most, past the stream budget, so p**digit_bound is never formed.
+    its n < p**digit_bound. A table whose length has fewer than digit_bound
+    bits is refused as too short before any power is built, so no table
+    meets the cap on the power at p**63, past sys.maxsize; the Apery and
+    omega streams can, and stop at _TERM_BUDGET terms long before it.
     """
     if digit_bound < 1:
         raise ValueError(f"digit_bound must be >= 1, got {digit_bound}")
-    # the rows of a scan one digit longer are the n < p**digit_bound
-    return lemma1_check(spec, p := Prime(p), spec._order or _rows(p, digit_bound + 1)) is None
+    p = Prime(p)
+    if isinstance(spec, TableSequence) and digit_bound > len(spec.values).bit_length():
+        raise TableTooShortError(
+            f"table holds {len(spec.values)} values but the scan needs {p}^{digit_bound}")
+    scan = spec._order or int(p) ** min(digit_bound, sys.maxsize.bit_length())
+    return lemma1_check(spec, p, scan) is None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ tables on each call, up to the largest base-p digit of n.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import count
 from typing import NamedTuple
 
 __all__ = [
@@ -118,7 +118,7 @@ class DigitExpansion(
 
 def digits_base_p(n: int, p) -> DigitExpansion:
     """Canonical base-p expansion of n >= 0: the one single-number digit walk
-    of the library, whose result is canonical by construction."""
+    of the library."""
     p = Prime(p)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -127,26 +127,23 @@ def digits_base_p(n: int, p) -> DigitExpansion:
         n, d = divmod(n, p)
         digs.append(d)
         if not n:
-            return tuple.__new__(DigitExpansion, (p, tuple(digs)))
+            return DigitExpansion(p, tuple(digs))
 
 
 def _digit_products(values, p: int):
     """Yield P(0), P(1), ...: values[n] for n < p, and P(n // p) * values[n % p]
     mod p from there on, the digit-recursive form S(p*m + j) = S(m) * S(j)
     (McIntosh, Amer. Math. Monthly 99, 1992). So P(n) is the product of
-    values over the base-p digits of n. It reads values only below p, holds
-    one product per index yielded, and builds the block of P(p*m + j), j < p,
-    once per distinct lead P(m): at most p blocks.
+    values over the base-p digits of n. It reads values only below p and
+    holds one product per index yielded. With fewer than p values it yields
+    them and raises IndexError at the next read, the first it cannot answer.
     """
     digits = values[:p]
     products = list(digits)
     yield from digits
-    scaled = {}
-    for lead in islice(products, 1, None):  # P(1), P(2), ...: products grows ahead of it
-        if lead not in scaled:
-            scaled[lead] = [lead * d % p for d in digits]
-        products += scaled[lead]
-        yield from scaled[lead]
+    for n in count(len(digits)):
+        products.append(products[n // p] * digits[n % p] % p)
+        yield products[n]
 
 
 def pow_mod(base: int, exp: int, p) -> int:

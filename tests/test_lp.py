@@ -506,7 +506,16 @@ def test_zero_check_of_a_short_table_at_a_huge_digit_bound_prints_its_error():
     with pytest.raises(TableTooShortError) as caught:
         sequence_is_zero_mod(TableSequence((0,) * 10), 5, 10**7)
     assert time.perf_counter() - start < 1.0
-    assert str(caught.value).startswith("table holds 10 values but the scan needs ")
+    assert str(caught.value) == "table holds 10 values but the scan needs 5^10000000"
+
+
+def test_zero_check_of_a_table_reads_every_n_below_p_to_the_digit_bound():
+    # S(2^18) = 1 lies below 2^19, past a scan capped at p^18
+    half = (0,) * 2**18
+    assert sequence_is_zero_mod(TableSequence(half + (1,) * 2**18), 2, 19) is False
+    assert sequence_is_zero_mod(TableSequence(half + half), 2, 19) is True
+    with pytest.raises(TableTooShortError, match="holds 262144 values but the scan needs 524288$"):
+        sequence_is_zero_mod(TableSequence(half), 2, 19)
 
 
 def test_lemma2_stream_reads_stop_at_the_term_budget(monkeypatch):

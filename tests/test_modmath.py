@@ -111,26 +111,12 @@ def test_digits_examples():
     assert digits_base_p(12, 5).digits == (2, 2)
     assert digits_base_p(38, 5).digits == (3, 2, 1)
     assert digits_base_p(7, 2).digits == (1, 1, 1)
-
-
-def test_digits_equal_the_validated_expansion():
-    # digits_base_p skips DigitExpansion's checks, as its digits are
-    # canonical by construction: the validated record must equal it
     rng = random.Random(34)
     for p in SMALL_PRIMES + [1000003]:
-        cases = [0, 1, p - 1, p, p + 1, p * p - 1, rng.randrange(10**200, 10**201)]
-        for n in cases:
-            digits = []
-            m = n
-            while True:
-                m, d = divmod(m, p)
-                digits.append(d)
-                if not m:
-                    break
-            want = DigitExpansion(Prime(p), tuple(digits))
-            got = digits_base_p(n, p)
-            assert got == want and type(got) is DigitExpansion and got.value() == n
-    assert len(digits_base_p(rng.randrange(10**199, 10**200), 7).digits) > 200
+        # n = 0, small n, and a 200-digit n, each built from its digits
+        for digits in ((0,), (p - 1,), (0, 1), (p - 1, 0, 1), (*rng.choices(range(p), k=199), 1)):
+            n = sum(d * p**i for i, d in enumerate(digits))
+            assert digits_base_p(n, p) == DigitExpansion(Prime(p), digits)
 
 
 def test_digit_products_are_products_over_the_base_p_digits():
@@ -143,6 +129,11 @@ def test_digit_products_are_products_over_the_base_p_digits():
         want = [math.prod(values[d] for d in digits_base_p(n, p).digits) % p
                 for n in range(p**3)]
         assert got == want, p
+    # a table shorter than p answers its own indices and refuses the next
+    short = _digit_products([1, 2, 3], 5)
+    assert list(islice(short, 3)) == [1, 2, 3]
+    with pytest.raises(IndexError):
+        next(short)
 
 
 def test_digits_rejects_bad_input():
