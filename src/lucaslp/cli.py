@@ -359,14 +359,9 @@ def _cmd_enumerate_b(args):
     flags = [list(map(set(bs).__contains__, offsets)) for bs in (
         (*enum.valid_b, *enum.identically_zero_b), enum.predicted_b, enum.identically_zero_b)]
     rows = _Table(("b", "oracle_holds", "predicted", "identically_zero"), (offsets, *flags))
-    agreement = {
-        "preperiod": enum.preperiod,
-        "modulus": enum.modulus,
-        "valid_b": list(enum.valid_b),
-        "predicted_b": list(enum.predicted_b),
-        "identically_zero_b": list(enum.identically_zero_b),
-        "matches_prediction": enum.matches_prediction,
-    }
+    # json and plain spell the record's tuples as lists; csv renders only the rows
+    agreement = {key: getattr(enum, key) for key in (
+        "preperiod", "modulus", "valid_b", "predicted_b", "identically_zero_b", "matches_prediction")}
     inputs = {
         "family": args.family,
         "a": args.a,
@@ -542,16 +537,10 @@ def _cmd_crossval(args):
 
 def _cmd_counterexample(args):
     index_map = AffineIndexMap(args.a, args.b)
-    inputs = {
-        "family": args.family,
-        "a": args.a,
-        "b": args.b,
-        "prime_bound": args.prime_bound,
-        "digits": args.digits,
-    }
     base = {"family": args.family, "a": args.a, "b": args.b}
+    inputs = {**base, "prime_bound": args.prime_bound, "digits": args.digits}
     try:
-        found_prime, verdict = corollary1_counterexample(
+        _, verdict = corollary1_counterexample(
             index_map, args.prime_bound, args.family, args.digits
         )
     except NotFoundWithinBoundError:

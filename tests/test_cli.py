@@ -1117,6 +1117,15 @@ def test_format_validation():
         format_report(Report("demo", {}, []), "yaml")
 
 
+def test_agreement_tuples_render_as_lists():
+    # enumerate-b hands its record's tuples to the renderers as they are
+    for verdicts in ([{"b": 0}, {"b": 1}], cli._Table(("b",), (range(2),))):
+        as_tuples = Report("demo", {}, verdicts, {"valid_b": (1, 2), "zero_b": ()})
+        as_lists = as_tuples._replace(agreement={"valid_b": [1, 2], "zero_b": []})
+        for fmt in ("json", "plain"):
+            assert format_report(as_tuples, fmt) == format_report(as_lists, fmt)
+
+
 def test_plain_format_smoke(capsys):
     code, out, err = run(
         capsys, "lp-check", "fib-affine", "--a", "1", "--b", "1", "--prime", "2",
@@ -1138,6 +1147,16 @@ def test_usage_exit_codes(capsys):
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "lp-check", "--help")[0] == 0
+
+
+@pytest.mark.parametrize("prime, code", [("7", 0), ("8", 2)])
+def test_main_exits_with_the_commands_code(capsys, monkeypatch, prime, code):
+    expected = run(capsys, "alpha", "--prime", prime)[1]
+    monkeypatch.setattr(sys, "argv", ["lucaslp", "alpha", "--prime", prime])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("module", ["lucaslp", "lucaslp.cli"])
